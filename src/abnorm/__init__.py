@@ -3,7 +3,7 @@ generation, canonical bases and the strict/non-strict classification of
 abnormal extremals, with an independent adjoint-ODE witness oracle.
 """
 
-from .adjoint import KERNEL, closed_form_psi1, integrate, witness_search
+from .adjoint import closed_form_psi1, integrate, witness_search
 from .catalog import (
     AlgebraId,
     automorphism_family,
@@ -27,7 +27,6 @@ from .subspace import Subspace, canonical_basis, check_prop2, classify_sl2, gene
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL",
     "AlgebraId",
     "Dim3Verdict",
     "Disk",

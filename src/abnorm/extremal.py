@@ -138,7 +138,6 @@ class Dim3Report:
     exists: bool
     p1: np.ndarray | None
     verdict: Dim3Verdict | None
-    extremal_direction: np.ndarray | None
     metric_nonstrict: bool | None = None  # set when a metric is supplied
 
 
@@ -151,7 +150,7 @@ def classify_dim3(alg: StructureConstants, p: Subspace, metric_inner=None) -> Di
         raise SubspaceError("subspace does not generate the algebra")
     p1 = intersect(p.basis, normalizer(alg, p))
     if p1.shape[0] == 0:
-        return Dim3Report(exists=False, p1=None, verdict=None, extremal_direction=None)
+        return Dim3Report(exists=False, p1=None, verdict=None)
     assert p1.shape[0] == 1, "p ∩ N(p) must be a line for a generating 3D subspace"
     x = p1[0]
     brackets = [bracket(alg, x, v) for v in p.basis]
@@ -180,7 +179,6 @@ def classify_dim3(alg: StructureConstants, p: Subspace, metric_inner=None) -> Di
         exists=True,
         p1=x,
         verdict=verdict,
-        extremal_direction=x,
         metric_nonstrict=metric_nonstrict,
     )
 
@@ -228,10 +226,7 @@ def theorem3_dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody) -> Dis
         if alg_id.alpha == 0:
             case, summary = "1.1", Verdict.NonStrict
         else:
-            case, summary = "2", (
-                Verdict.NonStrict if rep.combined is Verdict.NonStrict else Verdict.Strict
-            )
-            summary = None  # conditional case; resolved below
+            case, summary = "2", None
     elif fam in _CASE_2_FAMILIES:
         case, summary = "2", None
     elif fam == "g3.6+g1":
@@ -244,7 +239,7 @@ def theorem3_dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody) -> Dis
     else:
         case, summary = "-", None
 
-    if case == "2" or (fam == "g4.8" and alg_id.alpha not in (0, 1) and case == "2"):
+    if case == "2":
         # conditional case: summary verdict equals the axis condition
         both_axis = all(axis_condition(body, s) for s in (1, -1))
         summary = Verdict.NonStrict if both_axis else Verdict.Strict

@@ -68,8 +68,6 @@ class Polygon(SeminormBody):
 
     def gauge(self, v) -> float:
         v = np.asarray(v, dtype=float)
-        if np.allclose(v, 0.0):
-            return 0.0
         return float(np.max((self._normals @ v) / self._offsets))
 
     def support(self, w) -> float:
@@ -121,7 +119,7 @@ class Ellipse(SeminormBody):
 
     def gauge(self, v) -> float:
         v = np.asarray(v, dtype=float)
-        if np.allclose(v, 0.0):
+        if not v.any():
             return 0.0
         # smallest lam > 0 with (v/lam - c)^T Q (v/lam - c) = 1
         q = self._q

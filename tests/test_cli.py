@@ -152,6 +152,22 @@ def test_sweep(tmp_path, capsys):
     assert results[2]["error"] == "subspace does not generate"
 
 
+def test_sweep_keeps_good_jobs_when_one_fails(tmp_path, capsys):
+    good = {"algebra": {"family": "g4.10"}, "subspace": "known",
+            "body": {"disk": {"radius": 1.0}}}
+    bad = dict(good, body={"disk": {"radius": -1}})
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"jobs": [good, bad, good]}))
+    out = tmp_path / "out.json"
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert [r["job"] for r in results] == [0, 1, 2]
+    assert results[1] == {"job": 1, "error": "disk radius must be positive"}
+    for r in (results[0], results[2]):
+        assert r["report"]["classification"]["verdict"] == "non-strict"
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "classify", "--config", str(tmp_path / "nope.json"))
     assert code == 2

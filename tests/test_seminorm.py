@@ -54,6 +54,14 @@ def test_asymmetric_gauge():
     assert QUAD.gauge((-1, 0)) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("body", [SQUARE, QUAD, DISK, Ellipse((0.2, -0.1), [[2.0, 0.3], [0.3, 0.5]])])
+def test_gauge_positively_homogeneous_at_all_scales(body):
+    for v in [(1.0, 0.0), (0.0, -1.0), (0.3, 0.7), (-1.2, 0.4)]:
+        g = body.gauge(v)
+        for t in [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3]:
+            assert body.gauge((t * v[0], t * v[1])) == pytest.approx(t * g, rel=1e-12)
+
+
 def test_polar_square_is_cross_polytope():
     verts = polar(SQUARE).vertices
     want = {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)}

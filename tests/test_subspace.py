@@ -47,6 +47,13 @@ def test_dependent_spanners_rejected():
         Subspace(alg, np.stack([E[0], 2 * E[0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_spanners_rejected(bad):
+    alg = instantiate(AlgebraId("g4.1"))
+    with pytest.raises(SubspaceError, match="non-finite"):
+        Subspace(alg, np.stack([E[0], [0.0, 1.0, bad, 0.0]]))
+
+
 @pytest.mark.parametrize(
     "fam,kw,c123,c223,c323",
     [
