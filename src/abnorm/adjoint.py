@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq, minimize_scalar
 
 from .seminorm import SeminormBody
 from .subspace import CanonicalBasis
@@ -71,12 +70,12 @@ class Trajectory:
 
 def integrate(c23, u2: float, psi0, T: float, dt: float) -> Trajectory:
     """Fixed-step RK4 plus the exact matrix-exponential solution."""
-    if dt <= 0 or T <= 0:
-        raise ValueError("T and dt must be positive")
+    psi0 = np.asarray(psi0, dtype=float)
+    if not (0 < T < math.inf and 0 < dt < math.inf and T / dt < math.inf and np.isfinite(psi0).all()):
+        raise ValueError("T, dt and T / dt must be positive and finite, and psi0 finite")
     a = system_matrix(c23, u2)
     n = max(1, int(round(T / dt)))
     t = np.arange(n + 1) * dt
-    psi0 = np.asarray(psi0, dtype=float)
     psi = rk4_trajectory(a, psi0, dt, n)
     exact = _powers(expm(a * dt), psi0, n)
     dev = float(np.max(np.abs(psi - exact)))
@@ -131,56 +130,6 @@ def closed_form_psi1(c23, u2: float, a1: float, a2: float) -> ClosedFormPsi1:
                           roots=roots, frequency=freq, evaluate=fn)
 
 
-def _solve_support_level(body: SeminormBody, height: float) -> float | None:
-    """Some k with F_U(k, height) = 1, or None if the slice misses level 1."""
-
-    def f(k):
-        return body.support((k, height)) - 1.0
-
-    if abs(f(0.0)) <= ZERO_TOL:
-        return 0.0
-    res = minimize_scalar(f, bounds=(-1e3, 1e3), method="bounded")
-    kmin, fmin = float(res.x), float(res.fun)
-    if fmin > SUPPORT_TOL:
-        return None
-    if fmin > -ZERO_TOL:
-        # tangency: the slice touches level 1 exactly at the minimizer
-        return kmin
-    hi = max(abs(kmin) + 1.0, 1.0)
-    while f(kmin + hi) < 0:
-        hi *= 2.0
-        if hi > 1e9:
-            return None
-    return float(brentq(f, kmin, kmin + hi, xtol=1e-12))
-
-
-def _max_flat_amplitude(body: SeminormBody, height: float) -> float:
-    """Largest r with F_U(x, height) = 1 for every x in [-r, r] (0 if none)."""
-    if abs(body.support((0.0, height)) - 1.0) > SUPPORT_TOL:
-        return 0.0
-
-    def flat(r):
-        xs = np.linspace(-r, r, 41)
-        return all(abs(body.support((x, height)) - 1.0) <= SUPPORT_TOL for x in xs)
-
-    if not flat(1e-9):
-        return 0.0
-    lo, hi = 0.0, 1e-6
-    while flat(hi) and hi < 1e6:
-        lo, hi = hi, hi * 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if flat(mid):
-            lo = mid
-        else:
-            hi = mid
-    # a smooth strictly convex slice passes the tolerance for
-    # |x| < sqrt(2 * SUPPORT_TOL / curvature); treat that slop as zero
-    if lo <= 10.0 * math.sqrt(SUPPORT_TOL):
-        return 0.0
-    return lo
-
-
 @dataclass(frozen=True)
 class Witness:
     """Constant part of a bounded normal covector certifying non-strictness."""
@@ -227,8 +176,9 @@ def witness_search(
         raise ValueError("canonical basis must have C223 = 0 when C123 != 0")
     if c1 == 0.0 and c2 == 0.0:
         # every bounded branch is a constant psi1 = k; one always exists
-        k = _solve_support_level(body, height)
-        if k is None or abs(body.support((k, height)) - 1.0) > SUPPORT_TOL:
+        lo, hi = body.level_interval(s)
+        k = min(max(0.0, lo), hi)
+        if abs(body.support((k, height)) - 1.0) > SUPPORT_TOL:
             return None
         return Witness(s=s, u2=u2, k=k, phi4=1.0, amplitude_max=0.0,
                        psi0=np.array([k, height, 0.0, 1.0]))
@@ -246,7 +196,8 @@ def witness_search(
         return None
     amp = 0.0
     if oscillatory:
-        amp = _max_flat_amplitude(body, height)
+        lo, hi = body.level_interval(s)
+        amp = max(0.0, min(-lo, hi))
         if amp > 0.0:
             # verify the support identity along one full oscillation
             omega = abs(u2) * math.sqrt(-b) / 2.0

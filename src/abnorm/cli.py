@@ -8,7 +8,6 @@ configured subspace does not generate.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -56,18 +55,24 @@ def _emit(data, out: str | None):
 def _algebra_id(spec) -> AlgebraId:
     if isinstance(spec, str):
         return default_id(spec)
-    try:
-        return default_id(spec["family"], spec.get("alpha"), spec.get("beta"))
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"bad algebra spec: {exc}") from exc
+    if not isinstance(spec, dict) or not isinstance(spec.get("family"), str):
+        raise UsageError(f"bad algebra spec: {spec!r}")
+    for key in ("alpha", "beta"):
+        val = spec.get(key)
+        if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
+            raise UsageError(f"bad algebra spec: {key} must be a number, got {val!r}")
+    return default_id(spec["family"], spec.get("alpha"), spec.get("beta"))
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _subspace(alg, alg_id: AlgebraId, spec) -> Subspace:
@@ -158,6 +163,8 @@ def cmd_verify(args) -> int:
 
 
 def _classify_report(cfg: dict) -> dict:
+    if not isinstance(cfg, dict):
+        raise UsageError(f"job config must be a JSON object, got {cfg!r}")
     alg_id = _algebra_id(cfg.get("algebra"))
     alg = instantiate(alg_id)
     p = _subspace(alg, alg_id, cfg.get("subspace", "known"))
@@ -238,7 +245,10 @@ def cmd_ode(args) -> int:
         raise NonGeneratingError("subspace does not generate")
     body = body_from_config(cfg.get("body", {"disk": {"radius": 1.0}}))
     basis = canonical_basis(alg, p)
-    s = int(cfg.get("options", {}).get("s", 1))
+    opts = cfg.get("options", {})
+    s = opts.get("s", 1) if isinstance(opts, dict) else None
+    if s not in (1, -1):
+        raise UsageError("options must be an object whose 's' is 1 or -1")
     u2 = s / body.gauge((0.0, float(s)))
     if args.psi0:
         psi0 = [float(x) for x in args.psi0.split(",")]
@@ -249,10 +259,9 @@ def cmd_ode(args) -> int:
     traj = adjoint.integrate(basis.c23[:3], u2, psi0, args.T, args.dt)
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "psi1", "psi2", "psi3", "psi4"])
-            for t, row in zip(traj.t, traj.psi):
-                w.writerow([f"{t:.10g}"] + [f"{x:.12g}" for x in row])
+            fh.write("t,psi1,psi2,psi3,psi4\r\n")
+            fh.writelines("%.10g,%.12g,%.12g,%.12g,%.12g\r\n" % (t, *row)
+                          for t, row in zip(traj.t.tolist(), traj.psi.tolist()))
     print(json.dumps(
         {
             "max_deviation": traj.max_deviation,

@@ -102,7 +102,8 @@ def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> Dire
     f = body.gauge((0.0, float(s)))
     u2 = s / f
     if c1 == 0.0 and c2 == 0.0:
-        k = adjoint._solve_support_level(body, 1.0 / u2)
+        lo, hi = body.level_interval(s)
+        k = min(max(0.0, lo), hi)
         witness = {"psi1": k, "psi2": 1.0 / u2, "psi3": 0.0,
                    "psi4": f"exp({c3 * u2:g} * t)"}
         return DirectionReport(s, Verdict.NonStrict, Reason.C1C2Zero, witness, 1)

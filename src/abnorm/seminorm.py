@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 AXIS_TOL = 1e-9
+#: relative gap below which a polygon edge counts as attaining the gauge
+ACTIVE_RTOL = 1e-12
 
 
 class BodyError(ValueError):
@@ -26,6 +28,12 @@ class SeminormBody:
         raise NotImplementedError
 
     def support(self, w) -> float:
+        raise NotImplementedError
+
+    def level_interval(self, s: int) -> tuple[float, float]:
+        """The interval (lo, hi) of k with F_U(k, s F(0, s)) = 1: the
+        subdifferential of F at the point where the ray s e2 leaves the body
+        (Rockafellar, Convex Analysis, section 23)."""
         raise NotImplementedError
 
     def scaled(self, lam: float) -> "SeminormBody":
@@ -44,9 +52,8 @@ class Polygon(SeminormBody):
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
-            raise BodyError("polygon needs >= 3 planar vertices")
-        n = v.shape[0]
+        if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2 or not np.isfinite(v).all():
+            raise BodyError("polygon needs >= 3 finite planar vertices")
         edges = np.roll(v, -1, axis=0) - v
         cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
         if np.any(cross < -1e-12):
@@ -72,6 +79,14 @@ class Polygon(SeminormBody):
 
     def support(self, w) -> float:
         return float(np.max(self.vertices @ np.asarray(w, dtype=float)))
+
+    def level_interval(self, s: int) -> tuple[float, float]:
+        # the edges through the exit point; their polar vertices span the
+        # subdifferential of F there
+        vals = self._normals[:, 1] * s / self._offsets
+        active = vals >= np.max(vals) * (1.0 - ACTIVE_RTOL)
+        xs = self._normals[active, 0] / self._offsets[active]
+        return float(np.min(xs)), float(np.max(xs))
 
     def scaled(self, lam: float) -> "Polygon":
         return Polygon(lam * self.vertices)
@@ -105,8 +120,9 @@ class Ellipse(SeminormBody):
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         s = np.asarray(self.shape, dtype=float)
-        if c.shape != (2,) or s.shape != (2, 2):
-            raise BodyError("ellipse needs a 2-vector center and 2x2 shape matrix")
+        finite = np.isfinite(c).all() and np.isfinite(s).all()
+        if c.shape != (2,) or s.shape != (2, 2) or not finite:
+            raise BodyError("ellipse needs a finite 2-vector center and 2x2 shape matrix")
         if not np.allclose(s, s.T, atol=1e-12) or np.any(np.linalg.eigvalsh(s) <= 0):
             raise BodyError("shape matrix must be symmetric positive definite")
         q = np.linalg.inv(s)
@@ -132,6 +148,14 @@ class Ellipse(SeminormBody):
         w = np.asarray(w, dtype=float)
         return float(self.center @ w + np.sqrt(w @ self.shape @ w))
 
+    def level_interval(self, s: int) -> tuple[float, float]:
+        # smooth boundary: the outer normal at the exit point, scaled to
+        # pair to 1 with it
+        p = np.array([0.0, s / self.gauge((0.0, float(s)))])
+        n = self._q @ (p - self.center)
+        k = float(n[0] / (n @ p))
+        return k, k
+
     def scaled(self, lam: float) -> "Ellipse":
         return Ellipse(lam * self.center, lam * lam * self.shape)
 
@@ -142,7 +166,9 @@ class Ellipse(SeminormBody):
 
 def Disk(center, radius: float) -> Ellipse:
     """Disk as the isotropic ellipse."""
-    r = float(radius)
+    r = np.asarray(radius, dtype=float)
+    if r.shape != () or not np.isfinite(r):
+        raise BodyError("disk radius must be a finite number")
     if r <= 0:
         raise BodyError("disk radius must be positive")
     return Ellipse(np.asarray(center, dtype=float), r * r * np.eye(2))
@@ -173,13 +199,24 @@ def body_from_config(cfg: dict) -> SeminormBody:
         raise BodyError("body config must have exactly one of polygon/ellipse/disk")
     (kind, val), = cfg.items()
     if kind == "polygon":
-        return Polygon(np.asarray(val, dtype=float))
+        return Polygon(_numbers(kind, val))
     if kind == "ellipse":
-        return Ellipse(np.asarray(val["center"], dtype=float),
-                       np.asarray(val["matrix"], dtype=float))
+        return Ellipse(_numbers(kind, val, "center"), _numbers(kind, val, "matrix"))
     if kind == "disk":
-        return Disk(val.get("center", (0.0, 0.0)), val["radius"])
+        return Disk(_numbers(kind, val, "center", (0.0, 0.0)), _numbers(kind, val, "radius"))
     raise BodyError(f"unknown body kind {kind!r}")
+
+
+def _numbers(kind: str, val, key: str | None = None, default=None) -> np.ndarray:
+    """``val``, or its entry ``key``, as a float array."""
+    if key is not None:
+        if not isinstance(val, dict) or (key not in val and default is None):
+            raise BodyError(f"{kind} config needs a {key!r} entry")
+        val = val.get(key, default)
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError):
+        raise BodyError(f"{kind} config has a non-numeric value {val!r}") from None
 
 
 def body_to_config(b: SeminormBody) -> dict:

@@ -1,8 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import abnorm
 from abnorm import adjoint
 from abnorm.adjoint import (
     closed_form_psi1,
@@ -11,7 +17,8 @@ from abnorm.adjoint import (
     witness_search,
 )
 from abnorm.catalog import default_id, instantiate, known_generating_subspace
-from abnorm.seminorm import Disk, Polygon
+from abnorm.extremal import Verdict, classify
+from abnorm.seminorm import BodyError, Disk, Polygon
 from abnorm.subspace import Subspace, canonical_basis
 
 QUAD = Polygon([[1, 0], [0, 1], [-2, 0], [0, -1]])
@@ -72,6 +79,20 @@ def test_integrate_rejects_bad_steps():
         integrate([0, 0, 0], 1.0, [0, 1, 0, 1], T=-1.0, dt=1e-3)
     with pytest.raises(ValueError):
         integrate([0, 0, 0], 1.0, [0, 1, 0, 1], T=1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("T,dt,psi0", [
+    (math.inf, 1e-3, [0, 1, 0, 1]),
+    (-math.inf, 1e-3, [0, 1, 0, 1]),
+    (math.nan, 1e-3, [0, 1, 0, 1]),
+    (1.0, math.nan, [0, 1, 0, 1]),
+    (1.0, math.inf, [0, 1, 0, 1]),
+    (1.0, 1e-3, [math.nan, 1, 0, 1]),
+    (1.0, 1e-3, [0, 1, math.inf, 1]),
+])
+def test_integrate_rejects_non_finite_input(T, dt, psi0):
+    with pytest.raises(ValueError, match="finite"):
+        integrate([0, 0, 0], 1.0, psi0, T=T, dt=dt)
 
 
 def test_kernel_matches_python_fallback():
@@ -189,6 +210,41 @@ def test_witness_oscillatory_flat_amplitude():
     # the disk has no flat slice: bounded witnesses are constants only
     w = witness_search(b, Disk((0, 0), 1.0), 1)
     assert w is not None and w.amplitude_max == 0.0
+
+
+def test_witness_agrees_with_criterion_on_random_polygons():
+    # C123 = C223 = 0: the constant witness sits where the support slice
+    # touches level 1, usually at a kink of the slice
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(11)
+    for fam in ("g3.2+g1", "g4.10"):
+        aid = default_id(fam)
+        alg = instantiate(aid)
+        p = Subspace(alg, np.stack(known_generating_subspace(aid).span))
+        basis = canonical_basis(alg, p)
+        made = 0
+        while made < 40:
+            pts = rng.normal(size=(8, 2)) + rng.normal(scale=0.3, size=2)
+            try:
+                body = Polygon(pts[ConvexHull(pts).vertices])
+            except BodyError:
+                continue
+            made += 1
+            rep = classify(alg, p, body)
+            for s in (1, -1):
+                w = witness_search(basis, body, s)
+                assert rep.directions[s].verdict is Verdict.NonStrict
+                assert w is not None
+                assert abs(body.support((w.k, 1.0 / w.u2)) - 1.0) <= 1e-12
+
+
+def test_import_leaves_out_scipy_optimize():
+    src = str(Path(abnorm.__file__).resolve().parents[1])
+    code = "import sys, abnorm; print('scipy.optimize' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert res.stdout.strip() == "False"
 
 
 def test_witness_rejects_bad_direction():

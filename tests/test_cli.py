@@ -1,7 +1,12 @@
 import csv
+import io
 import json
+import math
 
+import numpy as np
 import pytest
+
+from abnorm.adjoint import integrate
 
 from abnorm.cli import main
 
@@ -171,3 +176,87 @@ def test_sweep_keeps_good_jobs_when_one_fails(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "classify", "--config", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+GOOD_JOB = {"algebra": {"family": "g4.10"}, "subspace": "known",
+            "body": {"disk": {"radius": 1.0}}}
+BAD_JOBS = {
+    "ellipse_without_matrix": dict(GOOD_JOB, body={"ellipse": {"center": [0, 0]}}),
+    "non_numeric_polygon": dict(GOOD_JOB, body={"polygon": "abc"}),
+    "job_not_an_object": "g4.10",
+    "non_numeric_alpha": dict(GOOD_JOB, algebra={"family": "g4.8", "alpha": "x"}),
+    "algebra_not_an_object": dict(GOOD_JOB, algebra=["g4.8"]),
+    "nan_disk_centre": dict(GOOD_JOB, body={"disk": {"center": [math.nan, 0], "radius": 1}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_JOBS))
+def test_sweep_records_malformed_job(tmp_path, capsys, name):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"jobs": [GOOD_JOB, BAD_JOBS[name]]}))
+    out = tmp_path / "out.json"
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results[0]["report"]["classification"]["verdict"] == "non-strict"
+    assert set(results[1]) == {"job", "error"} and results[1]["job"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(BAD_JOBS))
+def test_classify_malformed_config_exits_2(tmp_path, capsys, name):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(BAD_JOBS[name]))
+    code, _, err = run(capsys, "classify", "--config", str(cfg))
+    assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-T", "inf"],
+    ["-T", "nan"],
+    ["--dt", "inf"],
+    ["--psi0=nan,1,0,1"],
+    ["--psi0=0,1,inf,1"],
+    ["-T", "1e300", "--dt", "1e-300"],
+])
+def test_ode_non_finite_input_exits_2(tmp_path, capsys, argv):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algebra": {"family": "g4.10"}, "subspace": "known"}))
+    out_csv = tmp_path / "traj.csv"
+    code, _, err = run(capsys, "ode", "--config", str(cfg), "--out", str(out_csv), *argv)
+    assert code == 2 and "finite" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("options", [[], {"s": 2}, {"s": "x"}])
+def test_ode_bad_options_exit_2(tmp_path, capsys, options):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algebra": {"family": "g4.10"}, "subspace": "known",
+                               "options": options}))
+    code, _, err = run(capsys, "ode", "--config", str(cfg), "-T", "0.01")
+    assert code == 2 and "options" in err
+
+
+def test_ode_csv_bytes_match_csv_writer(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algebra": {"family": "g4.7"}, "subspace": "known",
+                               "body": {"disk": {"center": [0.2, 0.1], "radius": 1.0}}}))
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run(capsys, "ode", "--config", str(cfg), "-T", "5", "--dt", "1e-3",
+                       "--psi0=-0.5,0.5,0.25,1e-7", "--out", str(out_csv))
+    assert code == 0
+    u2 = json.loads(out)["u2"]
+    from abnorm.catalog import default_id, instantiate, known_generating_subspace
+    from abnorm.subspace import Subspace, canonical_basis
+
+    aid = default_id("g4.7")
+    alg = instantiate(aid)
+    basis = canonical_basis(alg, Subspace(alg, np.stack(known_generating_subspace(aid).span)))
+    traj = integrate(basis.c23[:3], u2, [-0.5, 0.5, 0.25, 1e-7], 5.0, 1e-3)
+    # reference: the csv.writer rows the command used to write
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["t", "psi1", "psi2", "psi3", "psi4"])
+    for t, row in zip(traj.t, traj.psi):
+        w.writerow([f"{t:.10g}"] + [f"{x:.12g}" for x in row])
+    assert out_csv.read_bytes() == ref.getvalue().encode()
+    assert out_csv.read_bytes().count(b"\r\n") == 5002

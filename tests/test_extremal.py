@@ -198,3 +198,23 @@ def test_classify_invariant_under_scaling():
             ref = classify(alg, p, body).combined
             for lam in (0.5, 2.0, 10.0):
                 assert classify(alg, p, body.scaled(lam)).combined is ref
+
+
+def test_triangle_witness_is_exact():
+    # the e2 ray leaves this triangle mid-edge, so the support slice
+    # touches level 1 at one kink only
+    _, alg, p = known("g4.10")
+    tri = Polygon([[1, -1], [0.3, 1], [-1, -0.5]])
+    rep = classify(alg, p, tri)
+    for s in (1, -1):
+        w = rep.directions[s].witness
+        assert rep.directions[s].verdict is Verdict.NonStrict
+        assert w["psi1"] is not None and math.isfinite(w["psi1"])
+        assert abs(tri.support((w["psi1"], w["psi2"])) - 1.0) <= 1e-12
+
+
+def test_shifted_disk_witness_is_exact():
+    _, alg, p = known("g4.10")
+    for s in (1, -1):
+        assert classify(alg, p, SHIFTED).directions[s].witness["psi1"] == pytest.approx(
+            -2.0 / 3.0, abs=1e-14)

@@ -195,6 +195,86 @@ def test_config_validation():
         body_from_config({"disk": {"radius": -1}})
 
 
+@pytest.mark.parametrize("cfg", [
+    {"ellipse": {"center": [0, 0]}},
+    {"ellipse": {"matrix": [[1, 0], [0, 1]]}},
+    {"ellipse": [[1, 0], [0, 1]]},
+    {"ellipse": {"center": "x", "matrix": [[1, 0], [0, 1]]}},
+    {"disk": {"center": [0, 0]}},
+    {"disk": {"radius": "abc"}},
+    {"disk": {"radius": [1, 2]}},
+    {"disk": 1.0},
+    {"polygon": "abc"},
+    {"polygon": [[1, 0], [0, 1], [-1]]},
+])
+def test_malformed_config_raises_body_error(cfg):
+    with pytest.raises(BodyError):
+        body_from_config(cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_bodies_rejected(bad):
+    with pytest.raises(BodyError, match="finite"):
+        Polygon([[1, -1], [1, 1], [-1, 1], [-1, bad]])
+    with pytest.raises(BodyError, match="finite"):
+        Ellipse((bad, 0.0), np.eye(2))
+    with pytest.raises(BodyError, match="finite"):
+        Ellipse((0.0, 0.0), [[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(BodyError, match="finite"):
+        Disk((0.0, bad), 1.0)
+    with pytest.raises(BodyError, match="finite"):
+        Disk((0.0, 0.0), bad)
+
+
+def test_level_interval_vertex_exit():
+    # the ray e2 leaves QUAD through the vertex (0, 1); its two edges have
+    # the polar vertices (1, 1) and (-0.5, 1)
+    assert QUAD.level_interval(1) == pytest.approx((-0.5, 1.0), abs=1e-12)
+    assert QUAD.level_interval(-1) == pytest.approx((-0.5, 1.0), abs=1e-12)
+
+
+def test_level_interval_mid_edge_exit():
+    assert SQUARE.level_interval(1) == (0.0, 0.0)
+    tri = Polygon([[1, -1], [0.3, 1], [-1, -0.5]])
+    for s in (1, -1):
+        lo, hi = tri.level_interval(s)
+        assert lo == hi
+        assert tri.support((lo, s * tri.gauge((0.0, s)))) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_level_interval_shifted_disk():
+    for s in (1, -1):
+        lo, hi = SHIFTED.level_interval(s)
+        assert lo == hi == pytest.approx(-2.0 / 3.0, abs=1e-14)
+
+
+def test_level_interval_is_the_level_set():
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(9)
+    bodies = []
+    while len(bodies) < 30:
+        pts = rng.normal(size=(7, 2)) + rng.normal(scale=0.3, size=2)
+        try:
+            bodies.append(Polygon(pts[ConvexHull(pts).vertices]))
+        except BodyError:
+            continue
+    for _ in range(30):
+        m = rng.normal(size=(2, 2))
+        bodies.append(Ellipse(rng.uniform(-0.3, 0.3, size=2), m @ m.T + 0.2 * np.eye(2)))
+    bodies += [QUAD, SQUARE.transformed([[1.0, 0.4], [0.0, 1.0]])]
+    for body in bodies:
+        for s in (1, -1):
+            lo, hi = body.level_interval(s)
+            h = s * body.gauge((0.0, s))
+            assert lo <= hi
+            for k in (lo, 0.5 * (lo + hi), hi):
+                assert body.support((k, h)) == pytest.approx(1.0, abs=1e-12)
+            # off the interval the support slice rises above 1
+            assert body.support((lo - 0.1, h)) > 1.0 + 1e-6
+            assert body.support((hi + 0.1, h)) > 1.0 + 1e-6
+
+
 coord = st.floats(-3, 3)
 
 
