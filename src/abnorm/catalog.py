@@ -8,6 +8,7 @@ environment variable); this module parses it and exposes typed accessors.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -57,6 +58,14 @@ class AlgebraId:
 
     def __post_init__(self):
         object.__setattr__(self, "family", _normalize_family(self.family))
+        for name in ("alpha", "beta"):
+            val = getattr(self, name)
+            try:
+                finite = val is None or math.isfinite(val)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise CatalogError(f"{self.family}: {name} must be finite, got {val!r}")
 
     @property
     def params(self) -> dict:

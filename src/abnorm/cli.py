@@ -83,7 +83,7 @@ def _subspace(alg, alg_id: AlgebraId, spec) -> Subspace:
         return Subspace(alg, np.stack(ks.span))
     try:
         rows = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad subspace spec: {exc}") from exc
     return Subspace(alg, rows)
 
@@ -180,7 +180,7 @@ def _classify_report(cfg: dict) -> dict:
     if not gen:
         raise NonGeneratingError(json.dumps(report, sort_keys=True))
     if p.dim == 3:
-        d3 = extremal.classify_dim3(alg, p)
+        d3 = extremal.dim3_report(alg, p)
         report["dim3"] = {
             "exists": d3.exists,
             "p1": None if d3.p1 is None else _vec(d3.p1),
@@ -197,9 +197,9 @@ def _classify_report(cfg: dict) -> dict:
     }
     report["extremals"] = [
         {"s": d.s, "velocity": _vec(d.velocity), "label": d.label}
-        for d in extremal.abnormal_extremals(alg, p, body)
+        for d in extremal.descriptors(basis, body)
     ]
-    disp = extremal.theorem3_dispatch(alg_id, p, body)
+    disp = extremal.dispatch(alg_id, p, body, extremal.classify_basis(basis, body))
     report["classification"] = {
         "directions": {
             str(s): {

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import adjoint
-from .catalog import AlgebraId, instantiate
+from .catalog import AlgebraId
 from .lie import StructureConstants, bracket
 from .seminorm import SeminormBody, axis_condition
 from .subspace import (
@@ -23,7 +23,6 @@ from .subspace import (
     Subspace,
     SubspaceError,
     _contains,
-    _orthonormal_basis,
     canonical_basis,
     classify_sl2,
     generates,
@@ -73,12 +72,14 @@ class StrictnessReport:
         return Verdict.Strict
 
 
-def abnormal_extremals(alg: StructureConstants, p: Subspace, body: SeminormBody):
-    """The two one-parameter subgroup descriptors, s = +/-1."""
-    gen = generates(alg, p)
-    if not gen:
+def _require_generating(alg: StructureConstants, p: Subspace) -> None:
+    if not generates(alg, p):
         raise SubspaceError("subspace does not generate the algebra")
-    basis = canonical_basis(alg, p)
+
+
+def descriptors(basis: CanonicalBasis, body: SeminormBody) -> list:
+    """The two one-parameter subgroup descriptors, s = +/-1, of the
+    canonical basis of a generating 2D subspace."""
     out = []
     for s in (1, -1):
         f = body.gauge((0.0, float(s)))
@@ -93,6 +94,12 @@ def abnormal_extremals(alg: StructureConstants, p: Subspace, body: SeminormBody)
             )
         )
     return out
+
+
+def abnormal_extremals(alg: StructureConstants, p: Subspace, body: SeminormBody):
+    """The two one-parameter subgroup descriptors, s = +/-1."""
+    _require_generating(alg, p)
+    return descriptors(canonical_basis(alg, p), body)
 
 
 def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> DirectionReport:
@@ -116,16 +123,19 @@ def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> Dire
     return DirectionReport(s, Verdict.Strict, Reason.C1ZeroC2Nonzero, None, 0)
 
 
-def classify(alg: StructureConstants, p: Subspace, body: SeminormBody) -> StrictnessReport:
-    """Per-direction strictness via the canonical-constant criterion."""
-    gen = generates(alg, p)
-    if not gen:
-        raise SubspaceError("subspace does not generate the algebra")
-    basis = canonical_basis(alg, p)
+def classify_basis(basis: CanonicalBasis, body: SeminormBody) -> StrictnessReport:
+    """Per-direction strictness of the canonical basis of a generating 2D
+    subspace via the canonical-constant criterion."""
     return StrictnessReport(
         basis=basis,
         directions={s: _direction_report(basis, body, s) for s in (1, -1)},
     )
+
+
+def classify(alg: StructureConstants, p: Subspace, body: SeminormBody) -> StrictnessReport:
+    """Per-direction strictness via the canonical-constant criterion."""
+    _require_generating(alg, p)
+    return classify_basis(canonical_basis(alg, p), body)
 
 
 class Dim3Verdict(Enum):
@@ -142,27 +152,29 @@ class Dim3Report:
     metric_nonstrict: bool | None = None  # set when a metric is supplied
 
 
-def classify_dim3(alg: StructureConstants, p: Subspace, metric_inner=None) -> Dim3Report:
-    """3D generating subspace: abnormal extremals exist iff p1 = p ∩ N(p)
-    is nonzero (then one-dimensional); strictness from p1 vs [p1, p]."""
-    if p.dim != 3:
-        raise SubspaceError("3D subspace expected")
-    if not generates(alg, p):
-        raise SubspaceError("subspace does not generate the algebra")
+#: a bracket [x, v] of p1 with p counts as zero below this fraction of
+#: |c| |x| |v|, its largest possible size: on automorphism images of a
+#: subspace whose brackets vanish, round-off leaves brackets near 1e-16
+BRACKET_ZERO_RTOL = 1e-9
+
+
+def dim3_report(alg: StructureConstants, p: Subspace, metric_inner=None) -> Dim3Report:
+    """Abnormal extremals of a generating 3D subspace: they exist iff
+    p1 = p ∩ N(p) is nonzero (then one-dimensional); strictness from p1
+    vs [p1, p]."""
     p1 = intersect(p.basis, normalizer(alg, p))
     if p1.shape[0] == 0:
         return Dim3Report(exists=False, p1=None, verdict=None)
     assert p1.shape[0] == 1, "p ∩ N(p) must be a line for a generating 3D subspace"
     x = p1[0]
-    brackets = [bracket(alg, x, v) for v in p.basis]
-    span_b = _orthonormal_basis(brackets)
-    in_bracket = _contains(span_b, x) if span_b.shape[0] else False
-    all_zero = span_b.shape[0] == 0
-    if in_bracket:
-        verdict = Dim3Verdict.StrictForAllMetrics
-    elif all_zero:
+    cut = BRACKET_ZERO_RTOL * float(np.linalg.norm(alg.c) * np.linalg.norm(x))
+    brackets = [b for v in p.basis
+                if np.linalg.norm(b := bracket(alg, x, v)) > cut * np.linalg.norm(v)]
+    if not brackets:
         # [p1, p] = 0 means p1 = p ∩ C(p)
         verdict = Dim3Verdict.NonStrictForAllMetrics
+    elif _contains(brackets, x):
+        verdict = Dim3Verdict.StrictForAllMetrics
     else:
         verdict = Dim3Verdict.MetricDependent
     metric_nonstrict = None
@@ -182,6 +194,14 @@ def classify_dim3(alg: StructureConstants, p: Subspace, metric_inner=None) -> Di
         verdict=verdict,
         metric_nonstrict=metric_nonstrict,
     )
+
+
+def classify_dim3(alg: StructureConstants, p: Subspace, metric_inner=None) -> Dim3Report:
+    """``dim3_report`` after checking that p is 3D and generates."""
+    if p.dim != 3:
+        raise SubspaceError("3D subspace expected")
+    _require_generating(alg, p)
+    return dim3_report(alg, p, metric_inner)
 
 
 _CASE_1_FAMILIES = {
@@ -205,16 +225,16 @@ class DispatchReport:
     report: StrictnessReport
 
 
-def theorem3_dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody) -> DispatchReport:
-    """Summary-case dispatch with criterion and oracle cross-check.
+def dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody,
+             rep: StrictnessReport) -> DispatchReport:
+    """Summary-case dispatch of the criterion's report ``rep`` on p, with
+    the witness oracle run on the same canonical basis.
 
     Known tension: for the sl(2,R)+R types IIa/IIb the summary statement
     says strict while the criterion (and the oracle) can say non-strict
     when the axis condition holds; such instances are flagged, never
     silently classified.
     """
-    alg = instantiate(alg_id)
-    rep = classify(alg, p, body)
     oracle = Verdict.NonStrict if all(
         adjoint.witness_search(rep.basis, body, s) is not None for s in (1, -1)
     ) else Verdict.Strict
@@ -231,7 +251,7 @@ def theorem3_dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody) -> Dis
     elif fam in _CASE_2_FAMILIES:
         case, summary = "2", None
     elif fam == "g3.6+g1":
-        typing = classify_sl2(alg, p, fam)
+        typing = classify_sl2(p.algebra, p, fam)
         sl2_type = typing.tag.value
         if typing.tag is SL2SubspaceType.TypeI:
             case, summary = "2", None
@@ -258,3 +278,8 @@ def theorem3_dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody) -> Dis
         sl2_type=sl2_type,
         report=rep,
     )
+
+
+def theorem3_dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody) -> DispatchReport:
+    """Summary-case dispatch with criterion and oracle cross-check."""
+    return dispatch(alg_id, p, body, classify(p.algebra, p, body))

@@ -35,9 +35,12 @@ class StructureConstants:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (DIM, DIM, DIM):
             raise LieError(f"structure constants must be {DIM}x{DIM}x{DIM}")
+        if not np.all(np.isfinite(c)):
+            raise LieError("structure constants must be finite")
         if not np.allclose(c, -c.transpose(1, 0, 2), atol=1e-12):
             raise LieError("structure constants are not antisymmetric")
-        c = 0.5 * (c - c.transpose(1, 0, 2))
+        # halving first keeps entries near the float limit from overflowing
+        c = 0.5 * c - 0.5 * c.transpose(1, 0, 2)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 

@@ -215,7 +215,7 @@ def _numbers(kind: str, val, key: str | None = None, default=None) -> np.ndarray
         val = val.get(key, default)
     try:
         return np.asarray(val, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise BodyError(f"{kind} config has a non-numeric value {val!r}") from None
 
 

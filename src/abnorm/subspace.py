@@ -65,7 +65,7 @@ class Subspace:
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.basis, dtype=float))
-        if b.shape[0] not in (2, 3) or b.shape[1] != DIM:
+        if b.ndim != 2 or b.shape[0] not in (2, 3) or b.shape[1] != DIM:
             raise SubspaceError("subspace basis must be 2 or 3 vectors in R^4")
         if not np.all(np.isfinite(b)):
             raise SubspaceError("subspace basis has non-finite entries")

@@ -2,13 +2,20 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from abnorm import catalog, cli, subspace
 from abnorm.adjoint import integrate
-
+from abnorm.catalog import default_id, instantiate, known_generating_subspace, list_families
 from abnorm.cli import main
+from abnorm.extremal import abnormal_extremals, classify, theorem3_dispatch
+from abnorm.seminorm import Disk, Polygon, body_to_config
+from abnorm.subspace import Subspace, canonical_basis
 
 
 def run(capsys, *argv):
@@ -187,6 +194,12 @@ BAD_JOBS = {
     "non_numeric_alpha": dict(GOOD_JOB, algebra={"family": "g4.8", "alpha": "x"}),
     "algebra_not_an_object": dict(GOOD_JOB, algebra=["g4.8"]),
     "nan_disk_centre": dict(GOOD_JOB, body={"disk": {"center": [math.nan, 0], "radius": 1}}),
+    "nan_alpha": dict(GOOD_JOB, algebra={"family": "g4.2", "alpha": math.nan}),
+    "inf_beta": dict(GOOD_JOB, algebra={"family": "g4.5", "alpha": 0.25, "beta": math.inf}),
+    "nested_subspace": dict(GOOD_JOB, subspace=[[[1], [0], [0], [0]], [[0], [1], [0], [0]]]),
+    "huge_integer_radius": dict(GOOD_JOB, body={"disk": {"radius": 10 ** 400}}),
+    "huge_integer_subspace": dict(GOOD_JOB, subspace=[[10 ** 400, 0, 0, 0], [0, 1, 0, 0]]),
+    "huge_integer_alpha": dict(GOOD_JOB, algebra={"family": "g4.2", "alpha": 10 ** 400}),
 }
 
 
@@ -208,6 +221,31 @@ def test_classify_malformed_config_exits_2(tmp_path, capsys, name):
     cfg.write_text(json.dumps(BAD_JOBS[name]))
     code, _, err = run(capsys, "classify", "--config", str(cfg))
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("family", ["g4.2", "g4.9"])
+def test_classify_nan_alpha_says_finite(tmp_path, capsys, family):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algebra": {"family": family, "alpha": math.nan}}))
+    code, _, err = run(capsys, "classify", "--config", str(cfg))
+    assert code == 2 and f"{family}: alpha must be finite, got nan" in err
+
+
+def test_sweep_records_nan_alpha(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"jobs": [
+        GOOD_JOB, dict(GOOD_JOB, algebra={"family": "g4.2", "alpha": math.nan})]}))
+    out = tmp_path / "out.json"
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results[0]["report"]["classification"]["verdict"] == "non-strict"
+    assert results[1] == {"job": 1, "error": "g4.2: alpha must be finite, got nan"}
+
+
+def test_catalog_show_nan_alpha_exits_2(capsys):
+    code, _, err = run(capsys, "catalog", "show", "g4.8", "--alpha", "nan")
+    assert code == 2 and "alpha must be finite" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,9 +283,6 @@ def test_ode_csv_bytes_match_csv_writer(tmp_path, capsys):
                        "--psi0=-0.5,0.5,0.25,1e-7", "--out", str(out_csv))
     assert code == 0
     u2 = json.loads(out)["u2"]
-    from abnorm.catalog import default_id, instantiate, known_generating_subspace
-    from abnorm.subspace import Subspace, canonical_basis
-
     aid = default_id("g4.7")
     alg = instantiate(aid)
     basis = canonical_basis(alg, Subspace(alg, np.stack(known_generating_subspace(aid).span)))
@@ -260,3 +295,145 @@ def test_ode_csv_bytes_match_csv_writer(tmp_path, capsys):
         w.writerow([f"{t:.10g}"] + [f"{x:.12g}" for x in row])
     assert out_csv.read_bytes() == ref.getvalue().encode()
     assert out_csv.read_bytes().count(b"\r\n") == 5002
+
+
+# -- one analysis pass per classify job ------------------------------------
+
+ONE_PASS_JOBS = {
+    "known_disk": ({"algebra": {"family": "g4.7"}, "subspace": "known",
+                    "body": {"disk": {"radius": 1.0}}}, (1, 1, 1)),
+    "sl2_typing": ({"algebra": {"family": "g3.6+g1"}, "subspace": [[1, 0, 0, 0], [0, 0, 1, 1]],
+                    "body": {"polygon": [[1, 0], [0, 1], [-2, 0], [0, -1]]}}, (1, 1, 1)),
+    "dim3": ({"algebra": {"family": "g4.1"},
+              "subspace": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}, (1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_JOBS))
+def test_classify_job_runs_its_pipeline_once(monkeypatch, name):
+    counts = {}
+    for owner, fname in [(catalog, "instantiate"), (subspace, "generates"),
+                         (subspace, "canonical_basis")]:
+        fn = getattr(owner, fname)
+        counts[fname] = 0
+
+        def counted(*args, _fn=fn, _name=fname, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        # every module binding, as ``from .subspace import generates`` copies it
+        for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "abnorm"]:
+            if getattr(mod, fname, None) is fn:
+                monkeypatch.setattr(mod, fname, counted)
+    cfg, want = ONE_PASS_JOBS[name]
+    cli._classify_report(cfg)
+    assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == want
+
+
+def _assert_close(got, want):
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
+
+
+@pytest.mark.parametrize("family", [
+    f for f in list_families()
+    if known_generating_subspace(default_id(f)) is not None
+])
+def test_classify_report_matches_public_functions(family):
+    aid = default_id(family)
+    alg = instantiate(aid)
+    p = Subspace(alg, np.stack(known_generating_subspace(aid).span))
+    basis = canonical_basis(alg, p)
+    bodies = [Disk((0, 0), 1.0), Disk((0.5, 0.0), 1.0),
+              Polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]]),
+              Polygon([[1, 0], [0, 1], [-2, 0], [0, -1]])]
+    for body in bodies:
+        rep = cli._classify_report({
+            "algebra": {"family": family, "alpha": aid.alpha, "beta": aid.beta},
+            "subspace": "known", "body": body_to_config(body)})
+        for key in ("e1", "e2", "e3", "e4", "c23"):
+            _assert_close(rep["canonical"][key], getattr(basis, key))
+        descs = abnormal_extremals(alg, p, body)
+        assert [(e["s"], e["label"]) for e in rep["extremals"]] == [
+            (d.s, d.label) for d in descs]
+        for e, d in zip(rep["extremals"], descs):
+            _assert_close(e["velocity"], d.velocity)
+        crit = classify(alg, p, body)
+        disp = theorem3_dispatch(aid, p, body)
+        got = rep["classification"]
+        for s, d in crit.directions.items():
+            g = got["directions"][str(s)]
+            assert (g["verdict"], g["reason"], g["pmp_max"]) == (
+                d.verdict.value, d.reason.value, d.pmp_max)
+            assert (g["witness"] is None) == (d.witness is None)
+            for k, v in (d.witness or {}).items():
+                if isinstance(v, str):
+                    assert g["witness"][k] == v
+                else:
+                    _assert_close(g["witness"][k], v)
+        assert got["verdict"] == crit.combined.value == disp.criterion_verdict.value
+        assert got["oracle_verdict"] == disp.oracle_verdict.value
+        assert got["summary_case"] == disp.case
+        assert got["summary_verdict"] == (
+            None if disp.summary_verdict is None else disp.summary_verdict.value)
+        assert (got["consistent"], got["flagged_tension"], got["sl2_type"]) == (
+            disp.consistent, disp.flagged_tension, disp.sl2_type)
+
+
+# -- exit codes on random job configs ---------------------------------------
+
+_NUMBER = st.one_of(st.floats(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
+                    st.integers(), st.sampled_from([1e300, -1e-300, 10 ** 400]))
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), _NUMBER,
+                  st.lists(_NUMBER, max_size=3),
+                  st.dictionaries(st.text(max_size=3), _NUMBER, max_size=2))
+_VECTOR = st.lists(st.one_of(_NUMBER, _JUNK), max_size=5)
+_POINT = st.one_of(st.lists(_NUMBER, min_size=2, max_size=2), _VECTOR, _JUNK)
+_FAMILY = st.one_of(st.sampled_from(["g4.7", "g4.10", "g3.7+g1", "g3.6+g1", "g4.1", "g4.2",
+                                     "g4.5", "g4.8", "g4.9", "g9.9"]), _JUNK)
+_ALGEBRA = st.one_of(_FAMILY, st.fixed_dictionaries(
+    {"family": _FAMILY},
+    optional={"alpha": st.one_of(_NUMBER, _JUNK), "beta": st.one_of(_NUMBER, _JUNK)}))
+_SUBSPACE = st.one_of(
+    st.just("known"), _JUNK,
+    st.lists(st.lists(_NUMBER, min_size=4, max_size=4), min_size=2, max_size=3),
+    st.lists(_VECTOR, max_size=4),  # ragged or short
+    st.lists(st.lists(st.lists(_NUMBER, min_size=1, max_size=1), min_size=4, max_size=4),
+             min_size=2, max_size=2),  # one level too deep
+)
+_BODY = st.one_of(
+    _JUNK,
+    st.fixed_dictionaries({"disk": st.one_of(_JUNK, st.fixed_dictionaries(
+        {}, optional={"center": _POINT, "radius": st.one_of(_NUMBER, _JUNK)}))}),
+    st.fixed_dictionaries({"polygon": st.one_of(_JUNK, st.lists(_POINT, max_size=6))}),
+    st.fixed_dictionaries({"ellipse": st.one_of(_JUNK, st.fixed_dictionaries(
+        {}, optional={"center": _POINT,
+                      "matrix": st.one_of(st.lists(_POINT, max_size=3), _JUNK)}))}),
+)
+_JOB = st.one_of(_JUNK, st.fixed_dictionaries(
+    {}, optional={"algebra": _ALGEBRA, "subspace": _SUBSPACE, "body": _BODY}))
+# derandomized so that the suite is repeatable; about 1.5 s for both tests
+_FUZZ = settings(max_examples=120, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@_FUZZ
+@given(job=_JOB)
+def test_classify_exit_code_on_random_config(fuzz_dir, job):
+    cfg = fuzz_dir / "job.json"
+    cfg.write_text(json.dumps(job))
+    assert main(["classify", "--config", str(cfg), "--out", str(fuzz_dir / "out.json")]) in (0, 2, 4)
+
+
+@_FUZZ
+@given(jobs=st.lists(_JOB, max_size=4))
+def test_sweep_one_result_per_random_job(fuzz_dir, jobs):
+    cfg = fuzz_dir / "sweep.json"
+    cfg.write_text(json.dumps({"jobs": jobs}))
+    out = fuzz_dir / "sweep_out.json"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [r["job"] for r in json.loads(out.read_text())["results"]] == list(range(len(jobs)))

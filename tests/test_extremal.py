@@ -13,6 +13,7 @@ from abnorm.extremal import (
     classify_dim3,
     theorem3_dispatch,
 )
+from abnorm.lie import inner_automorphism
 from abnorm.seminorm import Disk, Polygon
 from abnorm.subspace import Subspace, SubspaceError, canonical_basis
 
@@ -104,6 +105,21 @@ def test_g43_dim3_strict():
     assert rep.exists
     assert rep.verdict is Dim3Verdict.StrictForAllMetrics
     assert np.allclose(np.abs(rep.p1), E[0], atol=1e-9)
+
+
+@pytest.mark.parametrize("fam, verdict", [
+    ("g4.1", Dim3Verdict.NonStrictForAllMetrics),
+    ("g4.3", Dim3Verdict.StrictForAllMetrics),
+])
+def test_dim3_invariant_under_inner_automorphisms(fam, verdict):
+    # images of span(E1, E3, E4) under exp(ad X): the g4.1 brackets [p1, p]
+    # vanish, and on the images they are round-off of about 1e-16
+    alg = instantiate(AlgebraId(fam))
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        m = inner_automorphism(alg, rng.normal(scale=0.3, size=4))
+        p = Subspace(alg, (m @ np.stack([E[0], E[2], E[3]]).T).T)
+        assert classify_dim3(alg, p).verdict is verdict
 
 
 def test_dim3_no_extremal():
