@@ -63,9 +63,8 @@ def rk4_trajectory(a: np.ndarray, psi0: np.ndarray, dt: float, n_steps: int) -> 
 @dataclass(frozen=True)
 class Trajectory:
     t: np.ndarray
-    psi: np.ndarray        # RK4 states, shape (n+1, 4)
-    psi_exact: np.ndarray  # matrix-exponential states
-    max_deviation: float
+    psi: np.ndarray  # RK4 states, shape (n+1, 4)
+    max_deviation: float  # max-entry distance to the matrix-exponential states
 
 
 def integrate(c23, u2: float, psi0, T: float, dt: float) -> Trajectory:
@@ -79,17 +78,12 @@ def integrate(c23, u2: float, psi0, T: float, dt: float) -> Trajectory:
     psi = rk4_trajectory(a, psi0, dt, n)
     exact = _powers(expm(a * dt), psi0, n)
     dev = float(np.max(np.abs(psi - exact)))
-    return Trajectory(t=t, psi=psi, psi_exact=exact, max_deviation=dev)
+    return Trajectory(t=t, psi=psi, max_deviation=dev)
 
 
 @dataclass(frozen=True)
 class ClosedFormPsi1:
-    case: str            # B_pos | B_zero | B_neg | C1_zero
-    a1: float
-    a2: float
-    discriminant: float
-    roots: tuple         # (lambda1, lambda2) or (rate,) or ()
-    frequency: float | None
+    case: str  # B_pos | B_zero | B_neg | C1_zero
     evaluate: object
 
     def __call__(self, t):
@@ -108,26 +102,24 @@ def closed_form_psi1(c23, u2: float, a1: float, a2: float) -> ClosedFormPsi1:
             lam1 = u2 * (c3 + math.sqrt(b)) / 2.0
             lam2 = u2 * (c3 - math.sqrt(b)) / 2.0
             fn = lambda t: a1 * np.exp(lam1 * t) + a2 * np.exp(lam2 * t)
-            case, roots, freq = "B_pos", (lam1, lam2), None
+            case = "B_pos"
         elif b < -ZERO_TOL:
             rate = 0.5 * c3 * u2
             omega = u2 * math.sqrt(-b) / 2.0
             fn = lambda t: np.exp(rate * t) * (a1 * np.cos(omega * t) + a2 * np.sin(omega * t))
-            case, roots, freq = "B_neg", (rate,), omega
+            case = "B_neg"
         else:
             rate = 0.5 * c3 * u2
             fn = lambda t: (a1 * np.asarray(t) + a2) * np.exp(rate * t)
-            case, roots, freq = "B_zero", (rate,), None
+            case = "B_zero"
     else:
         if abs(c3) > ZERO_TOL:
             rate = c3 * u2
             fn = lambda t: a1 * np.exp(rate * t) + (c2 / c3) * np.asarray(t) + a2
-            case, roots, freq = "C1_zero", (rate,), None
         else:
             fn = lambda t: -0.5 * c2 * u2 * np.asarray(t) ** 2 + a1 * np.asarray(t) + a2
-            case, roots, freq = "C1_zero", (), None
-    return ClosedFormPsi1(case=case, a1=a1, a2=a2, discriminant=b,
-                          roots=roots, frequency=freq, evaluate=fn)
+        case = "C1_zero"
+    return ClosedFormPsi1(case=case, evaluate=fn)
 
 
 @dataclass(frozen=True)
@@ -137,26 +129,10 @@ class Witness:
     s: int
     u2: float
     k: float
-    phi4: float
     amplitude_max: float  # nonzero only for the oscillatory flat-slice family
-    psi0: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "u2": self.u2,
-            "k": self.k,
-            "phi4": self.phi4,
-            "amplitude_max": self.amplitude_max,
-        }
 
 
-def witness_search(
-    basis: CanonicalBasis,
-    body: SeminormBody,
-    s: int,
-    grid: int = 1001,
-) -> Witness | None:
+def witness_search(basis: CanonicalBasis, body: SeminormBody, s: int) -> Witness | None:
     """Decide existence of a bounded PMP covector with psi2 = 1/u2 and
     F_U(psi1(t), 1/u2) = 1 for all t.
 
@@ -180,8 +156,7 @@ def witness_search(
         k = min(max(0.0, lo), hi)
         if abs(body.support((k, height)) - 1.0) > SUPPORT_TOL:
             return None
-        return Witness(s=s, u2=u2, k=k, phi4=1.0, amplitude_max=0.0,
-                       psi0=np.array([k, height, 0.0, 1.0]))
+        return Witness(s=s, u2=u2, k=k, amplitude_max=0.0)
 
     if c1 == 0.0:
         # C223 != 0 forces an unbounded drift (linear or parabolic) in
@@ -201,9 +176,8 @@ def witness_search(
         if amp > 0.0:
             # verify the support identity along one full oscillation
             omega = abs(u2) * math.sqrt(-b) / 2.0
-            ts = np.linspace(0.0, 2.0 * math.pi / omega, grid)
+            ts = np.linspace(0.0, 2.0 * math.pi / omega, 1001)
             psi1 = amp * np.cos(omega * ts)
             if not all(abs(body.support((x, height)) - 1.0) <= SUPPORT_TOL for x in psi1):
                 amp = 0.0
-    return Witness(s=s, u2=u2, k=0.0, phi4=1.0, amplitude_max=amp,
-                   psi0=np.array([0.0, height, 0.0, 1.0]))
+    return Witness(s=s, u2=u2, k=0.0, amplitude_max=amp)

@@ -35,7 +35,11 @@ class CatalogCorruptError(CatalogError):
 
 
 def _eval(expr: str, env: dict) -> float:
-    return eval(expr, {"__builtins__": {}}, dict(env))  # noqa: S307 - trusted data file
+    try:
+        return eval(expr, {"__builtins__": {}}, dict(env))  # noqa: S307 - trusted data file
+    except OverflowError as exc:  # float ** raises where * would give inf
+        raise CatalogError(f"catalog expression {expr!r} overflows: "
+                           "parameters out of numerical range") from exc
 
 
 def _normalize_family(name: str) -> str:
@@ -88,8 +92,6 @@ class AlgebraId:
 @dataclass(frozen=True)
 class AutomorphismMatrix:
     m: np.ndarray
-    family: str
-    params: dict
 
 
 @dataclass
@@ -99,7 +101,7 @@ class AutomorphismFamily:
     algebra_id: AlgebraId
     branches: list
 
-    def matrix(self, branch: int = 0, **values) -> AutomorphismMatrix:
+    def matrix(self, branch: int, **values) -> AutomorphismMatrix:
         spec = self.branches[branch]
         env = dict(self.algebra_id.params)
         for name in spec["free"]:
@@ -114,7 +116,7 @@ class AutomorphismFamily:
         m = np.array(
             [[_eval(entry, env) for entry in row] for row in spec["matrix"]]
         )
-        return AutomorphismMatrix(m=m, family=self.algebra_id.family, params=env)
+        return AutomorphismMatrix(m=m)
 
     def sample(self, rng: np.random.Generator, scale: float = 3.0) -> AutomorphismMatrix:
         """Random member with parameters in [-scale, scale], constraints respected."""
@@ -132,15 +134,11 @@ class AutomorphismFamily:
 
 @dataclass(frozen=True)
 class KnownSubspace:
-    algebra: AlgebraId
     span: list
-    provenance: str
 
 
-def _load_raw(path: str | None = None) -> dict:
-    if path is None:
-        path = os.environ.get("ABNORM_CATALOG")
-    return _load_raw_cached(path)
+def _load_raw() -> dict:
+    return _load_raw_cached(os.environ.get("ABNORM_CATALOG"))
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +182,7 @@ def instantiate(id: AlgebraId) -> StructureConstants:
                 (i, j, {int(k): _eval(expr, env) for k, expr in comps.items()})
                 for i, j, comps in row["brackets"]
             ]
-            return StructureConstants.from_brackets(brackets, label=str(id))
+            return StructureConstants.from_brackets(brackets)
     raise CatalogCorruptError(f"no bracket row matches parameters of {id}")
 
 
@@ -205,7 +203,7 @@ def known_generating_subspace(id: AlgebraId) -> KnownSubspace | None:
     if ks is None or not _eval(ks["condition"], id.params):
         return None
     span = [np.array([float(x) for x in vec]) for vec in ks["span"]]
-    return KnownSubspace(algebra=id, span=span, provenance=ks["provenance"])
+    return KnownSubspace(span=span)
 
 
 def list_families() -> list[str]:
@@ -232,5 +230,5 @@ def default_id(family: str, alpha: float | None = None, beta: float | None = Non
     )
 
 
-def verify_automorphism(alg: StructureConstants, m: AutomorphismMatrix, tol: float = 1e-10) -> bool:
-    return automorphism_defect(alg, m.m) <= tol
+def verify_automorphism(alg: StructureConstants, m: AutomorphismMatrix) -> bool:
+    return automorphism_defect(alg, m.m) <= 1e-10

@@ -43,6 +43,9 @@ class NonGeneratingError(ValueError):
     pass
 
 
+DEFAULT_BODY = {"disk": {"radius": 1.0}}
+
+
 def _emit(data, out: str | None):
     text = json.dumps(data, indent=2, sort_keys=True)
     if out:
@@ -96,6 +99,8 @@ def cmd_catalog(args) -> int:
     if args.action == "list":
         _emit({"families": list_families()}, args.out)
         return EXIT_OK
+    if args.id is None:
+        raise UsageError("catalog show needs a family id")
     alg_id = default_id(args.id, args.alpha, args.beta)
     alg = instantiate(alg_id)
     ks = known_generating_subspace(alg_id)
@@ -126,14 +131,12 @@ def _verify_one(alg_id: AlgebraId, rng: np.random.Generator) -> dict:
     ok = res["jacobi_defect"] <= 1e-12
     try:
         fam = automorphism_family(alg_id)
-        defects = []
-        for _ in range(20):
-            m = fam.sample(rng)
-            defects.append(0.0 if verify_automorphism(alg, m) else 1.0)
-        res["automorphism_failures"] = int(sum(defects))
-        ok = ok and not sum(defects)
     except CatalogError:
         res["automorphism_failures"] = None
+    else:
+        failures = sum(not verify_automorphism(alg, fam.sample(rng)) for _ in range(20))
+        res["automorphism_failures"] = failures
+        ok = ok and not failures
     ks = known_generating_subspace(alg_id)
     if ks is not None:
         p = Subspace(alg, np.stack(ks.span))
@@ -162,13 +165,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else 1
 
 
-def _classify_report(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise UsageError(f"job config must be a JSON object, got {cfg!r}")
+def _job(cfg: dict):
+    """Algebra id, algebra, subspace and generation result of a job config."""
     alg_id = _algebra_id(cfg.get("algebra"))
     alg = instantiate(alg_id)
     p = _subspace(alg, alg_id, cfg.get("subspace", "known"))
-    gen = generates(alg, p)
+    return alg_id, alg, p, generates(alg, p)
+
+
+def _classify_report(cfg: dict) -> dict:
+    if not isinstance(cfg, dict):
+        raise UsageError(f"job config must be a JSON object, got {cfg!r}")
+    alg_id, alg, p, gen = _job(cfg)
     report: dict = {
         "config": {
             "algebra": {"family": alg_id.family, "alpha": alg_id.alpha, "beta": alg_id.beta},
@@ -187,7 +195,7 @@ def _classify_report(cfg: dict) -> dict:
             "verdict": None if d3.verdict is None else d3.verdict.value,
         }
         return report
-    body = body_from_config(cfg.get("body", {"disk": {"radius": 1.0}}))
+    body = body_from_config(cfg.get("body", DEFAULT_BODY))
     report["config"]["body"] = body_to_config(body)
     basis = canonical_basis(alg, p)
     report["canonical"] = {
@@ -222,28 +230,23 @@ def _classify_report(cfg: dict) -> dict:
 
 
 def cmd_classify(args) -> int:
-    cfg = _load_config(args.config)
-    report = _classify_report(cfg)
+    report = _classify_report(_load_config(args.config))
     _emit(report, args.out)
     if args.expect:
+        want = {"strict": "strict", "nonstrict": "non-strict"}[args.expect]
         if "dim3" in report:
             got = report["dim3"]["verdict"] or ""
-            want = {"strict": "strict", "nonstrict": "non-strict"}[args.expect]
             return EXIT_OK if got.startswith(want) else 1
-        got = report["classification"]["verdict"]
-        want = {"strict": "strict", "nonstrict": "non-strict"}[args.expect]
-        return EXIT_OK if got == want else 1
+        return EXIT_OK if report["classification"]["verdict"] == want else 1
     return EXIT_OK
 
 
 def cmd_ode(args) -> int:
     cfg = _load_config(args.config)
-    alg_id = _algebra_id(cfg.get("algebra"))
-    alg = instantiate(alg_id)
-    p = _subspace(alg, alg_id, cfg.get("subspace", "known"))
-    if not generates(alg, p):
+    _, alg, p, gen = _job(cfg)
+    if not gen:
         raise NonGeneratingError("subspace does not generate")
-    body = body_from_config(cfg.get("body", {"disk": {"radius": 1.0}}))
+    body = body_from_config(cfg.get("body", DEFAULT_BODY))
     basis = canonical_basis(alg, p)
     opts = cfg.get("options", {})
     s = opts.get("s", 1) if isinstance(opts, dict) else None
@@ -348,7 +351,8 @@ def main(argv=None) -> int:
     except NonGeneratingError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_NON_GENERATING
-    except (UsageError, CatalogError, SubspaceError, BodyError, ValueError) as exc:
+    except (UsageError, CatalogError, SubspaceError, BodyError, ValueError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -149,7 +149,6 @@ class Dim3Report:
     exists: bool
     p1: np.ndarray | None
     verdict: Dim3Verdict | None
-    metric_nonstrict: bool | None = None  # set when a metric is supplied
 
 
 #: a bracket [x, v] of p1 with p counts as zero below this fraction of
@@ -158,7 +157,7 @@ class Dim3Report:
 BRACKET_ZERO_RTOL = 1e-9
 
 
-def dim3_report(alg: StructureConstants, p: Subspace, metric_inner=None) -> Dim3Report:
+def dim3_report(alg: StructureConstants, p: Subspace) -> Dim3Report:
     """Abnormal extremals of a generating 3D subspace: they exist iff
     p1 = p ∩ N(p) is nonzero (then one-dimensional); strictness from p1
     vs [p1, p]."""
@@ -177,31 +176,15 @@ def dim3_report(alg: StructureConstants, p: Subspace, metric_inner=None) -> Dim3
         verdict = Dim3Verdict.StrictForAllMetrics
     else:
         verdict = Dim3Verdict.MetricDependent
-    metric_nonstrict = None
-    if metric_inner is not None and verdict is Dim3Verdict.MetricDependent:
-        # supporting-plane test: the witness covector must annihilate
-        # [p1, p], i.e. X is metrically orthogonal to it inside p
-        g = np.asarray(metric_inner, dtype=float)
-        coords = np.linalg.lstsq(p.basis.T, x, rcond=None)[0]
-        vals = []
-        for v in brackets:
-            cv = np.linalg.lstsq(p.basis.T, v, rcond=None)[0]
-            vals.append(abs(float(coords @ g @ cv)))
-        metric_nonstrict = max(vals) <= 1e-9
-    return Dim3Report(
-        exists=True,
-        p1=x,
-        verdict=verdict,
-        metric_nonstrict=metric_nonstrict,
-    )
+    return Dim3Report(exists=True, p1=x, verdict=verdict)
 
 
-def classify_dim3(alg: StructureConstants, p: Subspace, metric_inner=None) -> Dim3Report:
+def classify_dim3(alg: StructureConstants, p: Subspace) -> Dim3Report:
     """``dim3_report`` after checking that p is 3D and generates."""
     if p.dim != 3:
         raise SubspaceError("3D subspace expected")
     _require_generating(alg, p)
-    return dim3_report(alg, p, metric_inner)
+    return dim3_report(alg, p)
 
 
 _CASE_1_FAMILIES = {

@@ -29,7 +29,6 @@ class StructureConstants:
     """Dense 4x4x4 bracket table with antisymmetry enforced at construction."""
 
     c: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -45,14 +44,14 @@ class StructureConstants:
         object.__setattr__(self, "c", c)
 
     @classmethod
-    def from_brackets(cls, brackets, label=None):
+    def from_brackets(cls, brackets):
         """Build from sparse rows [(i, j, {k: coeff})] with 1-based indices."""
         c = np.zeros((DIM, DIM, DIM))
         for i, j, comps in brackets:
             for k, coeff in comps.items():
                 c[i - 1, j - 1, int(k) - 1] += coeff
                 c[j - 1, i - 1, int(k) - 1] -= coeff
-        return cls(c, label=label)
+        return cls(c)
 
     def nonzero_brackets(self):
         """Yield (i, j, {k: coeff}) with i < j, 1-based, for display."""

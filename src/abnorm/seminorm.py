@@ -174,14 +174,6 @@ def Disk(center, radius: float) -> Ellipse:
     return Ellipse(np.asarray(center, dtype=float), r * r * np.eye(2))
 
 
-def gauge(b: SeminormBody, v) -> float:
-    return b.gauge(v)
-
-
-def support(b: SeminormBody, w) -> float:
-    return b.support(w)
-
-
 def axis_condition(b: SeminormBody, s: int) -> bool:
     """True iff F_U(0, s) = 1 / F(0, s), i.e. the extreme point of U in
     the direction s*e2 sits on the e2-axis."""

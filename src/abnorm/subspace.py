@@ -19,7 +19,7 @@ class SubspaceError(ValueError):
     pass
 
 
-def _orthonormal_basis(vectors, rtol: float = RANK_RTOL) -> np.ndarray:
+def _orthonormal_basis(vectors) -> np.ndarray:
     """Rows: orthonormal basis of the span; rank by singular-value cutoff."""
     a = np.atleast_2d(np.asarray(vectors, dtype=float))
     if not len(a):
@@ -27,7 +27,7 @@ def _orthonormal_basis(vectors, rtol: float = RANK_RTOL) -> np.ndarray:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, a.shape[1]))
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return vt[:rank]
 
 
@@ -35,11 +35,17 @@ def _rank(vectors) -> int:
     return _orthonormal_basis(vectors).shape[0]
 
 
-def _contains(space_rows, vector, tol: float = 1e-9) -> bool:
+def _contains(space_rows, vector) -> bool:
     q = _orthonormal_basis(space_rows)
     v = np.asarray(vector, dtype=float)
     resid = v - q.T @ (q @ v)
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(v)))
+    return float(np.linalg.norm(resid)) <= 1e-9 * max(1.0, float(np.linalg.norm(v)))
+
+
+def _null_space(m) -> np.ndarray:
+    """Orthonormal rows spanning {x : m x = 0}."""
+    _, s, vt = np.linalg.svd(m)
+    return vt[np.sum(s > RANK_RTOL * max(s[0], 1.0)):]
 
 
 def intersect(rows_a, rows_b) -> np.ndarray:
@@ -49,9 +55,7 @@ def intersect(rows_a, rows_b) -> np.ndarray:
     if not len(qa) or not len(qb):
         return np.zeros((0, DIM))
     # null space of [A^T | -B^T] glues coefficients of a common vector
-    m = np.hstack([qa.T, -qb.T])
-    u, s, vt = np.linalg.svd(m)
-    ns = vt[np.sum(s > RANK_RTOL * max(s[0], 1.0)):]
+    ns = _null_space(np.hstack([qa.T, -qb.T]))
     if not len(ns):
         return np.zeros((0, DIM))
     vecs = ns[:, : len(qa)] @ qa
@@ -117,23 +121,13 @@ class CanonicalBasis:
     e3: np.ndarray
     e4: np.ndarray
     c23: np.ndarray
-    c14: np.ndarray
     c24: np.ndarray
     #: columns of final (e1, e2) in coordinates of the input spanners
     frame_from_spanners: np.ndarray
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Columns e1..e4 in catalog coordinates."""
-        return np.stack([self.e1, self.e2, self.e3, self.e4], axis=1)
-
     def to_catalog_frame(self, xy) -> np.ndarray:
         x, y = xy
         return x * self.e1 + y * self.e2
-
-
-def _components(basis_matrix, v) -> np.ndarray:
-    return np.linalg.solve(basis_matrix, v)
 
 
 def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
@@ -157,14 +151,14 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
         raise SubspaceError("canonicalization failed: no rank-4 ordering")
 
     basis = np.stack([e1, e2, e3, e4], axis=1)
-    c23 = _components(basis, bracket(alg, e2, e3))
+    c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
     if abs(c23[3]) > 0:
         # e2 <- e2 - C423 e1 removes the e4-component of [e2, e3]
         shift = c23[3]
         e2 = e2 - shift * e1
         frame = frame @ np.array([[1.0, -shift], [0.0, 1.0]])
         basis = np.stack([e1, e2, e3, e4], axis=1)
-        c23 = _components(basis, bracket(alg, e2, e3))
+        c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
 
     if abs(c23[0]) > RANK_RTOL and abs(c23[1]) > RANK_RTOL:
         # e1 <- e1 + (C223/C123) e2 zeroes C223; e3 is unchanged, e4 moves
@@ -173,13 +167,12 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
         frame = frame @ np.array([[1.0, 0.0], [x, 1.0]])
         e4 = bracket(alg, e1, e3)
         basis = np.stack([e1, e2, e3, e4], axis=1)
-        c23 = _components(basis, bracket(alg, e2, e3))
+        c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
 
-    c14 = _components(basis, bracket(alg, e1, e4))
-    c24 = _components(basis, bracket(alg, e2, e4))
+    c24 = np.linalg.solve(basis, bracket(alg, e2, e4))
     return CanonicalBasis(
         algebra=alg, e1=e1, e2=e2, e3=e3, e4=e4,
-        c23=c23, c14=c14, c24=c24, frame_from_spanners=frame,
+        c23=c23, c24=c24, frame_from_spanners=frame,
     )
 
 
@@ -199,26 +192,13 @@ def normalizer(alg: StructureConstants, p: Subspace) -> np.ndarray:
     """N(p) = {X : [X, v] in p for all v in p}; orthonormal rows."""
     q = _orthonormal_basis(p.basis)
     comp = _orthonormal_basis(np.eye(DIM) - q.T @ q)  # complement of p
-    rows = []
-    for v in p.basis:
-        # X -> projection of [X, v] off p, linear in X
-        adv = np.einsum("ijk,j->ki", alg.c, v)  # column i: [E_i, v]... see below
-        rows.append(comp @ adv)
-    m = np.vstack(rows) if rows else np.zeros((0, DIM))
-    u, s, vt = np.linalg.svd(m)
-    cutoff = RANK_RTOL * max(s[0] if s.size else 0.0, 1.0)
-    return vt[np.sum(s > cutoff):]
+    # X -> projection of [X, v] off p, linear in X
+    return _null_space(np.vstack([comp @ np.einsum("ijk,j->ki", alg.c, v) for v in p.basis]))
 
 
 def centralizer(alg: StructureConstants, p: Subspace) -> np.ndarray:
     """C(p) = {X : [X, v] = 0 for all v in p}; orthonormal rows."""
-    rows = []
-    for v in p.basis:
-        rows.append(np.einsum("ijk,j->ki", alg.c, v))
-    m = np.vstack(rows)
-    u, s, vt = np.linalg.svd(m)
-    cutoff = RANK_RTOL * max(s[0] if s.size else 0.0, 1.0)
-    return vt[np.sum(s > cutoff):]
+    return _null_space(np.vstack([np.einsum("ijk,j->ki", alg.c, v) for v in p.basis]))
 
 
 class SL2SubspaceType(Enum):

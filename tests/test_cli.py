@@ -248,6 +248,30 @@ def test_catalog_show_nan_alpha_exits_2(capsys):
     assert code == 2 and "alpha must be finite" in err
 
 
+BAD_INVOCATIONS = {
+    "classify_unwritable_out": ["classify", "--config", "{cfg}", "--out", "{missing}"],
+    "ode_unwritable_out": ["ode", "--config", "{cfg}", "-T", "0.01", "--out", "{missing}"],
+    "catalog_list_unwritable_out": ["catalog", "list", "--out", "{missing}"],
+    "catalog_show_without_id": ["catalog", "show"],
+    "verify_overflowing_alpha": ["verify", "g4.9", "--alpha", "1e200"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS))
+def test_bad_invocation_exits_2(tmp_path, capsys, name):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(GOOD_JOB))
+    paths = {"cfg": str(cfg), "missing": str(tmp_path / "no_such_dir" / "out")}
+    code, _, err = run(capsys, *[arg.format(**paths) for arg in BAD_INVOCATIONS[name]])
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_catalog_show_huge_alpha_exits_0(capsys):
+    # only verify samples the automorphism table, where alpha**2 overflows
+    code, out, _ = run(capsys, "catalog", "show", "g4.9", "--alpha", "1e200")
+    assert code == 0 and json.loads(out)["automorphism_branches"] == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["-T", "inf"],
     ["-T", "nan"],
@@ -309,8 +333,8 @@ ONE_PASS_JOBS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ONE_PASS_JOBS))
-def test_classify_job_runs_its_pipeline_once(monkeypatch, name):
+def count_pipeline_calls(monkeypatch) -> dict:
+    """Count the calls of instantiate, generates and canonical_basis."""
     counts = {}
     for owner, fname in [(catalog, "instantiate"), (subspace, "generates"),
                          (subspace, "canonical_basis")]:
@@ -325,9 +349,24 @@ def test_classify_job_runs_its_pipeline_once(monkeypatch, name):
         for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "abnorm"]:
             if getattr(mod, fname, None) is fn:
                 monkeypatch.setattr(mod, fname, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_JOBS))
+def test_classify_job_runs_its_pipeline_once(monkeypatch, name):
+    counts = count_pipeline_calls(monkeypatch)
     cfg, want = ONE_PASS_JOBS[name]
     cli._classify_report(cfg)
     assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == want
+
+
+def test_ode_runs_its_pipeline_once(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(ONE_PASS_JOBS["known_disk"][0]))
+    counts = count_pipeline_calls(monkeypatch)
+    code, _, _ = run(capsys, "ode", "--config", str(cfg), "-T", "0.01")
+    assert code == 0
+    assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == (1, 1, 1)
 
 
 def _assert_close(got, want):

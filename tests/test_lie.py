@@ -19,7 +19,7 @@ HEIS4 = [(2, 4, {1: 1.0}), (3, 4, {2: 1.0})]  # nilpotent reference table
 
 
 def heis():
-    return StructureConstants.from_brackets(HEIS4, label="heis")
+    return StructureConstants.from_brackets(HEIS4)
 
 
 def test_from_brackets_antisymmetry():
