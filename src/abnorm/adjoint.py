@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from .lie import expm
 from .seminorm import SeminormBody
 from .subspace import CanonicalBasis
 

@@ -250,7 +250,7 @@ def cmd_ode(args) -> int:
     basis = canonical_basis(alg, p)
     opts = cfg.get("options", {})
     s = opts.get("s", 1) if isinstance(opts, dict) else None
-    if s not in (1, -1):
+    if isinstance(s, bool) or s not in (1, -1):
         raise UsageError("options must be an object whose 's' is 1 or -1")
     u2 = s / body.gauge((0.0, float(s)))
     if args.psi0:
@@ -339,6 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a separate value that starts with "-" as a flag
+    if "--psi0" in argv[:-1]:
+        i = argv.index("--psi0")
+        argv[i:i + 2] = [f"--psi0={argv[i + 1]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

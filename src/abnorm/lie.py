@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import expm
 
 DIM = 4
 
@@ -119,6 +118,29 @@ def automorphism_defect(alg: StructureConstants, m) -> float:
             rhs = bracket(alg, m[:, i], m[:, j])
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a degree-18 Taylor step.
+
+    a is scaled by 2^-s so that its 1-norm is below 1, where the Taylor
+    remainder is below 1/19! < 1e-17; the step is then squared s times
+    (Moler & Van Loan, SIAM Rev. 45(1), 2003).  The work is fixed: 18
+    Taylor terms and s squarings.  A non-finite matrix has no such scaling
+    and raises ValueError.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("expm needs a finite matrix")
+    s = max(0, int(np.frexp(np.abs(a).sum(axis=0).max())[1]))
+    x = a / 2.0**s
+    eye = np.eye(len(a))
+    out = eye
+    for k in range(18, 0, -1):
+        out = eye + x @ out / k
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def inner_automorphism(alg: StructureConstants, x) -> np.ndarray:

@@ -102,7 +102,14 @@ def generates(alg: StructureConstants, p: Subspace) -> GenerationResult:
         for i in range(n):
             for j in range(i + 1, n):
                 new.append(bracket(alg, rows[i], rows[j]))
-        rows = _orthonormal_basis(new)
+        q = _orthonormal_basis(new)
+        # V_i lies in V_{i+1} (the tolerance of _contains); brackets large
+        # enough to push the unit rows of V_i under the rank cutoff would
+        # make the flag lose dimensions
+        if np.linalg.norm(rows - rows @ q.T @ q) > 1e-9:
+            raise SubspaceError("bracket generation out of numerical range: "
+                                "the brackets swamp the subspace")
+        rows = q
         if rows.shape[0] == dims[-1]:
             break
         dims.append(rows.shape[0])

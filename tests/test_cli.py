@@ -2,13 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import abnorm
 from abnorm import catalog, cli, subspace
 from abnorm.adjoint import integrate
 from abnorm.catalog import default_id, instantiate, known_generating_subspace, list_families
@@ -266,6 +270,65 @@ def test_bad_invocation_exits_2(tmp_path, capsys, name):
     assert code == 2 and err.startswith("error: ")
 
 
+def test_ode_psi0_takes_a_separate_negative_value(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algebra": {"family": "g4.10"}, "subspace": "known"}))
+    joined = run(capsys, "ode", "--config", str(cfg), "-T", "0.1", "--psi0=-0.5,0.5,0.5,0.5")
+    separate = run(capsys, "ode", "--config", str(cfg), "-T", "0.1", "--psi0", "-0.5,0.5,0.5,0.5")
+    assert joined[0] == 0 and separate == joined
+
+
+@pytest.mark.parametrize("algebra, argv", [
+    ({"family": "g4.2", "alpha": 1e200}, ["classify", "--config", "{cfg}"]),
+    ({"family": "g4.9", "alpha": 1e200}, ["classify", "--config", "{cfg}"]),
+    ({"family": "g3.4+g1", "alpha": 1e200}, ["classify", "--config", "{cfg}"]),
+    ({"family": "g4.6", "alpha": 1e200, "beta": 1e200}, ["classify", "--config", "{cfg}"]),
+    (None, ["verify", "g3.4+g1", "--alpha", "1e200"]),
+], ids=["g4.2", "g4.9", "g3.4+g1", "g4.6", "verify_g3.4+g1"])
+def test_generation_out_of_numerical_range_exits_2(tmp_path, capsys, algebra, argv):
+    # the brackets dwarf the unit rows of the subspace: the flag would
+    # shrink to [2, 1] and wrongly report "does not generate"
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algebra": algebra, "subspace": "known"}))
+    code, _, err = run(capsys, *[arg.format(cfg=cfg) for arg in argv])
+    assert code == 2 and "out of numerical range" in err
+
+
+SCIPY_BLOCKED = """
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked: " + name)
+
+sys.meta_path.insert(0, BlockScipy())
+from abnorm.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": [m for m in sys.modules if m.startswith("scipy")]}))
+"""
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    job, sweep = tmp_path / "job.json", tmp_path / "sweep.json"
+    job.write_text(json.dumps(GOOD_JOB))
+    sweep.write_text(json.dumps({"jobs": [GOOD_JOB, dict(GOOD_JOB, algebra={"family": "g4.7"})]}))
+    cmds = [
+        ["classify", "--config", str(job), "--out", str(tmp_path / "c.json")],
+        ["ode", "--config", str(job), "-T", "1", "--out", str(tmp_path / "t.csv")],
+        ["sweep", "--config", str(sweep), "--out", str(tmp_path / "s.json")],
+        ["verify", "all", "--out", str(tmp_path / "v.json")],
+    ]
+    src = str(Path(abnorm.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, json.dumps(cmds)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert json.loads(res.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert json.loads((tmp_path / "v.json").read_text())["pass"]
+    assert all("report" in r for r in json.loads((tmp_path / "s.json").read_text())["results"])
+
+
 def test_catalog_show_huge_alpha_exits_0(capsys):
     # only verify samples the automorphism table, where alpha**2 overflows
     code, out, _ = run(capsys, "catalog", "show", "g4.9", "--alpha", "1e200")
@@ -289,7 +352,7 @@ def test_ode_non_finite_input_exits_2(tmp_path, capsys, argv):
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("options", [[], {"s": 2}, {"s": "x"}])
+@pytest.mark.parametrize("options", [[], {"s": 2}, {"s": "x"}, {"s": True}])
 def test_ode_bad_options_exit_2(tmp_path, capsys, options):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"algebra": {"family": "g4.10"}, "subspace": "known",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abnorm.adjoint import _powers, system_matrix
 from abnorm.catalog import default_id, instantiate, list_families
 from abnorm.lie import (
     LieError,
@@ -10,6 +11,7 @@ from abnorm.lie import (
     ad_matrix,
     automorphism_defect,
     bracket,
+    expm,
     inner_automorphism,
     jacobi_defect,
     killing_matrix,
@@ -105,3 +107,46 @@ def test_inner_automorphism_is_automorphism():
         for _ in range(10):
             m = inner_automorphism(alg, rng.normal(scale=0.5, size=4))
             assert automorphism_defect(alg, m) <= 1e-9, fam
+
+
+def test_expm_matches_scipy():
+    from scipy.linalg import expm as scipy_expm
+
+    # the one-step matrices and 5000-step trajectories of the criterion-6 draws
+    rng = np.random.default_rng(60)
+    for _ in range(100):
+        a = 1e-3 * system_matrix(rng.uniform(-1, 1, size=3), rng.uniform(0.5, 1.0))
+        psi0 = rng.normal(size=4)
+        psi0 /= np.linalg.norm(psi0)
+        m, ref = expm(a), scipy_expm(a)
+        assert np.max(np.abs(m - ref)) <= 1e-15
+        assert np.max(np.abs(_powers(m, psi0, 5000) - _powers(ref, psi0, 5000))) <= 1e-9
+    # exp(ad x) on every family, up to norms that take several squarings
+    rng = np.random.default_rng(0)
+    for sigma in (0.3, 0.4, 1.0, 3.0):
+        for fam in list_families():
+            alg = instantiate(default_id(fam))
+            for _ in range(10):
+                ad = ad_matrix(alg, rng.normal(scale=sigma, size=4))
+                ref = scipy_expm(ad)
+                assert np.max(np.abs(expm(ad) - ref)) <= 1e-12 * np.max(np.abs(ref)), fam
+
+
+def test_expm_closed_forms():
+    theta = 20.0  # 1-norm 40: six squarings
+    rot = expm([[0.0, -theta], [theta, 0.0]])
+    assert np.allclose(rot, [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
+                       rtol=0, atol=1e-13)
+    d = np.array([-3.0, -0.5, 0.0, 2.5])
+    assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
+    n = np.diag([1.0, 2.0, 3.0], k=1)  # nilpotent: the series stops at n^3 / 6
+    assert np.allclose(expm(n), np.eye(4) + n + n @ n / 2 + n @ n @ n / 6, rtol=0, atol=1e-15)
+    assert np.array_equal(expm(np.zeros((4, 4))), np.eye(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_rejects_non_finite(bad):
+    a = np.zeros((4, 4))
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        expm(a)
