@@ -14,11 +14,7 @@ import numpy as np
 from .lie import expm
 from .seminorm import SeminormBody
 from .subspace import CanonicalBasis
-
-#: coefficients below this magnitude are treated as structurally zero
-ZERO_TOL = 1e-9
-#: tolerance of the support identity F_U(psi1, psi2) = 1 on the time grid
-SUPPORT_TOL = 1e-7
+from .tolerances import CLOSED_FORM_ATOL, SUPPORT_TOL
 
 
 def system_matrix(c23, u2: float) -> np.ndarray:
@@ -95,15 +91,15 @@ def closed_form_psi1(c23, u2: float, a1: float, a2: float) -> ClosedFormPsi1:
     split by the discriminant B = (C323)^2 - 4 C123 when C123 != 0."""
     c1, c2, c3 = float(c23[0]), float(c23[1]), float(c23[2])
     b = c3 * c3 - 4.0 * c1
-    if abs(c1) > ZERO_TOL:
-        if abs(c2) > ZERO_TOL:
+    if abs(c1) > CLOSED_FORM_ATOL:
+        if abs(c2) > CLOSED_FORM_ATOL:
             raise ValueError("closed form expects the C223 = 0 normalization when C123 != 0")
-        if b > ZERO_TOL:
+        if b > CLOSED_FORM_ATOL:
             lam1 = u2 * (c3 + math.sqrt(b)) / 2.0
             lam2 = u2 * (c3 - math.sqrt(b)) / 2.0
             fn = lambda t: a1 * np.exp(lam1 * t) + a2 * np.exp(lam2 * t)
             case = "B_pos"
-        elif b < -ZERO_TOL:
+        elif b < -CLOSED_FORM_ATOL:
             rate = 0.5 * c3 * u2
             omega = u2 * math.sqrt(-b) / 2.0
             fn = lambda t: np.exp(rate * t) * (a1 * np.cos(omega * t) + a2 * np.sin(omega * t))
@@ -113,7 +109,7 @@ def closed_form_psi1(c23, u2: float, a1: float, a2: float) -> ClosedFormPsi1:
             fn = lambda t: (a1 * np.asarray(t) + a2) * np.exp(rate * t)
             case = "B_zero"
     else:
-        if abs(c3) > ZERO_TOL:
+        if abs(c3) > CLOSED_FORM_ATOL:
             rate = c3 * u2
             fn = lambda t: a1 * np.exp(rate * t) + (c2 / c3) * np.asarray(t) + a2
         else:
@@ -146,10 +142,7 @@ def witness_search(basis: CanonicalBasis, body: SeminormBody, s: int) -> Witness
         raise ValueError("degenerate seminorm on the e2 axis")
     u2 = s / f_se2
     height = 1.0 / u2
-    c23 = np.where(np.abs(basis.c23[:3]) > ZERO_TOL, basis.c23[:3], 0.0)
-    c1, c2, c3 = c23
-    if c1 != 0.0 and c2 != 0.0:
-        raise ValueError("canonical basis must have C223 = 0 when C123 != 0")
+    c1, c2, c3 = basis.constants
     if c1 == 0.0 and c2 == 0.0:
         # every bounded branch is a constant psi1 = k; one always exists
         lo, hi = body.level_interval(s)

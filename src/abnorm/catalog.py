@@ -18,6 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .lie import StructureConstants, automorphism_defect
+from .tolerances import AUTOMORPHISM_TOL
 
 FAMILIES = [
     "g3.1+g1", "g3.2+g1", "g3.3+g1", "g3.4+g1", "g3.5+g1", "g3.6+g1",
@@ -231,4 +232,4 @@ def default_id(family: str, alpha: float | None = None, beta: float | None = Non
 
 
 def verify_automorphism(alg: StructureConstants, m: AutomorphismMatrix) -> bool:
-    return automorphism_defect(alg, m.m) <= 1e-10
+    return automorphism_defect(alg, m.m) <= AUTOMORPHISM_TOL

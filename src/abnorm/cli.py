@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -25,9 +26,10 @@ from .catalog import (
     list_families,
     verify_automorphism,
 )
-from .lie import LieError, jacobi_defect
-from .seminorm import BodyError, body_from_config, body_to_config
-from .subspace import Subspace, SubspaceError, canonical_basis, check_prop2, generates
+from .lie import jacobi_defect
+from .seminorm import body_from_config, body_to_config
+from .subspace import Subspace, canonical_basis, check_prop2, generates
+from .tolerances import JACOBI_TOL, PROP2_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,7 +130,7 @@ def cmd_catalog(args) -> int:
 def _verify_one(alg_id: AlgebraId, rng: np.random.Generator) -> dict:
     alg = instantiate(alg_id)
     res = {"id": str(alg_id), "jacobi_defect": jacobi_defect(alg)}
-    ok = res["jacobi_defect"] <= 1e-12
+    ok = res["jacobi_defect"] <= JACOBI_TOL
     try:
         fam = automorphism_family(alg_id)
     except CatalogError:
@@ -145,7 +147,7 @@ def _verify_one(alg_id: AlgebraId, rng: np.random.Generator) -> dict:
         res["generation_dims"] = list(gen.dims)
         if gen:
             res["prop2_defect"] = check_prop2(canonical_basis(alg, p))
-            ok = ok and res["prop2_defect"] <= 1e-9
+            ok = ok and res["prop2_defect"] <= PROP2_TOL
         ok = ok and bool(gen)
     else:
         res["generates"] = None
@@ -290,7 +292,7 @@ def cmd_sweep(args) -> int:
             results.append({"job": i, "error": "subspace does not generate"})
         except CatalogCorruptError:
             raise
-        except (UsageError, BodyError, SubspaceError, LieError, CatalogError) as exc:
+        except ValueError as exc:  # what main reports with exit code 2
             results.append({"job": i, "error": str(exc)})
     _emit({"results": results}, args.out)
     return EXIT_OK
@@ -339,13 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a separate value that starts with "-" as a flag
-    if "--psi0" in argv[:-1]:
-        i = argv.index("--psi0")
-        argv[i:i + 2] = [f"--psi0={argv[i + 1]}"]
+    # argparse reads a separate value such as "-1e3" or "-.5,1" as a flag: join
+    # it to the option before it (no option name starts "-<digit>" or "-.")
+    joined = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if joined and re.match(r"-[\d.]", tok) and re.fullmatch(r"-[^\d.][^=]*", joined[-1]):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(joined)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
@@ -356,8 +361,9 @@ def main(argv=None) -> int:
     except NonGeneratingError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_NON_GENERATING
-    except (UsageError, CatalogError, SubspaceError, BodyError, ValueError, OSError) as exc:
-        # OSError: an --out path that cannot be written
+    except (ValueError, OSError) as exc:
+        # ValueError: every input error of the package; OSError: an --out
+        # path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,6 +29,7 @@ from .subspace import (
     intersect,
     normalizer,
 )
+from .tolerances import is_zero, norm
 
 
 class Verdict(Enum):
@@ -103,9 +104,7 @@ def abnormal_extremals(alg: StructureConstants, p: Subspace, body: SeminormBody)
 
 
 def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> DirectionReport:
-    c1, c2, c3 = (
-        x if abs(x) > adjoint.ZERO_TOL else 0.0 for x in basis.c23[:3]
-    )
+    c1, c2, c3 = basis.constants
     f = body.gauge((0.0, float(s)))
     u2 = s / f
     if c1 == 0.0 and c2 == 0.0:
@@ -151,12 +150,6 @@ class Dim3Report:
     verdict: Dim3Verdict | None
 
 
-#: a bracket [x, v] of p1 with p counts as zero below this fraction of
-#: |c| |x| |v|, its largest possible size: on automorphism images of a
-#: subspace whose brackets vanish, round-off leaves brackets near 1e-16
-BRACKET_ZERO_RTOL = 1e-9
-
-
 def dim3_report(alg: StructureConstants, p: Subspace) -> Dim3Report:
     """Abnormal extremals of a generating 3D subspace: they exist iff
     p1 = p ∩ N(p) is nonzero (then one-dimensional); strictness from p1
@@ -166,9 +159,10 @@ def dim3_report(alg: StructureConstants, p: Subspace) -> Dim3Report:
         return Dim3Report(exists=False, p1=None, verdict=None)
     assert p1.shape[0] == 1, "p ∩ N(p) must be a line for a generating 3D subspace"
     x = p1[0]
-    cut = BRACKET_ZERO_RTOL * float(np.linalg.norm(alg.c) * np.linalg.norm(x))
+    # [x, v] is zero against |c| |x| |v|, its largest size (round-off near 1e-16)
+    cx = norm(alg.c) * norm(x)
     brackets = [b for v in p.basis
-                if np.linalg.norm(b := bracket(alg, x, v)) > cut * np.linalg.norm(v)]
+                if not is_zero(norm(b := bracket(alg, x, v)), cx * norm(v))]
     if not brackets:
         # [p1, p] = 0 means p1 = p ∩ C(p)
         verdict = Dim3Verdict.NonStrictForAllMetrics

@@ -13,10 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
-DIM = 4
+from .tolerances import ANTISYMMETRY_TOL, DET_TOL
 
-#: default absolute tolerance for floating comparisons on catalog data
-ATOL = 1e-9
+DIM = 4
 
 
 class LieError(ValueError):
@@ -35,7 +34,7 @@ class StructureConstants:
             raise LieError(f"structure constants must be {DIM}x{DIM}x{DIM}")
         if not np.all(np.isfinite(c)):
             raise LieError("structure constants must be finite")
-        if not np.allclose(c, -c.transpose(1, 0, 2), atol=1e-12):
+        if not np.allclose(c, -c.transpose(1, 0, 2), atol=ANTISYMMETRY_TOL):
             raise LieError("structure constants are not antisymmetric")
         # halving first keeps entries near the float limit from overflowing
         c = 0.5 * c - 0.5 * c.transpose(1, 0, 2)
@@ -53,13 +52,13 @@ class StructureConstants:
         return cls(c)
 
     def nonzero_brackets(self):
-        """Yield (i, j, {k: coeff}) with i < j, 1-based, for display."""
+        """Yield (i, j, {k: coeff}) with i < j, 1-based, for display; every exact nonzero."""
         for i in range(DIM):
             for j in range(i + 1, DIM):
                 comps = {
                     k + 1: self.c[i, j, k]
                     for k in range(DIM)
-                    if abs(self.c[i, j, k]) > ATOL
+                    if self.c[i, j, k] != 0.0
                 }
                 if comps:
                     yield i + 1, j + 1, comps
@@ -108,7 +107,7 @@ def automorphism_defect(alg: StructureConstants, m) -> float:
     Zero iff m is a Lie algebra automorphism.
     """
     m = np.asarray(m, dtype=float)
-    if abs(np.linalg.det(m)) < 1e-12:
+    if abs(np.linalg.det(m)) < DET_TOL:
         raise LieError("not invertible")
     worst = 0.0
     e = np.eye(DIM)

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-AXIS_TOL = 1e-9
-#: relative gap below which a polygon edge counts as attaining the gauge
-ACTIVE_RTOL = 1e-12
+from .tolerances import BODY_RTOL, is_zero
 
 
 class BodyError(ValueError):
@@ -54,19 +52,20 @@ class Polygon(SeminormBody):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2 or not np.isfinite(v).all():
             raise BodyError("polygon needs >= 3 finite planar vertices")
+        size = np.abs(v).max()
         edges = np.roll(v, -1, axis=0) - v
         cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.any(cross < -1e-12):
+        if np.any(cross < -BODY_RTOL * size * size):
             raise BodyError("polygon vertices must be convex and counterclockwise")
         # outward normal of edge i and its support offset; origin interior
         # iff every offset is positive
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
         lengths = np.linalg.norm(normals, axis=1)
-        if np.any(lengths < 1e-14):
+        if np.any(lengths <= BODY_RTOL * size):
             raise BodyError("degenerate polygon edge")
         normals = normals / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, v)
-        if np.any(offsets <= 1e-12):
+        if np.any(offsets <= BODY_RTOL * size):
             raise BodyError("invalid body: origin not strictly interior")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -84,7 +83,7 @@ class Polygon(SeminormBody):
         # the edges through the exit point; their polar vertices span the
         # subdifferential of F there
         vals = self._normals[:, 1] * s / self._offsets
-        active = vals >= np.max(vals) * (1.0 - ACTIVE_RTOL)
+        active = vals >= np.max(vals) * (1.0 - BODY_RTOL)
         xs = self._normals[active, 0] / self._offsets[active]
         return float(np.min(xs)), float(np.max(xs))
 
@@ -123,10 +122,10 @@ class Ellipse(SeminormBody):
         finite = np.isfinite(c).all() and np.isfinite(s).all()
         if c.shape != (2,) or s.shape != (2, 2) or not finite:
             raise BodyError("ellipse needs a finite 2-vector center and 2x2 shape matrix")
-        if not np.allclose(s, s.T, atol=1e-12) or np.any(np.linalg.eigvalsh(s) <= 0):
+        if not np.allclose(s, s.T, atol=BODY_RTOL * np.abs(s).max()) or np.any(np.linalg.eigvalsh(s) <= 0):
             raise BodyError("shape matrix must be symmetric positive definite")
         q = np.linalg.inv(s)
-        if float(c @ q @ c) >= 1.0 - 1e-12:
+        if float(c @ q @ c) >= 1.0 - BODY_RTOL:
             raise BodyError("invalid body: origin not strictly interior")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
@@ -181,7 +180,7 @@ def axis_condition(b: SeminormBody, s: int) -> bool:
         raise BodyError("direction must be +1 or -1")
     sup = b.support((0.0, float(s)))
     g = b.gauge((0.0, float(s)))
-    return abs(sup - 1.0 / g) <= AXIS_TOL * max(1.0, sup)
+    return is_zero(sup - 1.0 / g, sup)
 
 
 def body_from_config(cfg: dict) -> SeminormBody:

@@ -11,8 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .lie import DIM, StructureConstants, bracket, killing_matrix
-
-RANK_RTOL = 1e-9
+from .tolerances import RTOL, is_zero, norm, rank
 
 
 class SubspaceError(ValueError):
@@ -27,25 +26,19 @@ def _orthonormal_basis(vectors) -> np.ndarray:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, a.shape[1]))
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return vt[:rank]
-
-
-def _rank(vectors) -> int:
-    return _orthonormal_basis(vectors).shape[0]
+    return vt[:int(np.sum(s > RTOL * s[0]))]
 
 
 def _contains(space_rows, vector) -> bool:
     q = _orthonormal_basis(space_rows)
     v = np.asarray(vector, dtype=float)
-    resid = v - q.T @ (q @ v)
-    return float(np.linalg.norm(resid)) <= 1e-9 * max(1.0, float(np.linalg.norm(v)))
+    return is_zero(norm(v - q.T @ (q @ v)), norm(v))
 
 
 def _null_space(m) -> np.ndarray:
     """Orthonormal rows spanning {x : m x = 0}."""
     _, s, vt = np.linalg.svd(m)
-    return vt[np.sum(s > RANK_RTOL * max(s[0], 1.0)):]
+    return vt[np.sum(s > RTOL * s[0]):]
 
 
 def intersect(rows_a, rows_b) -> np.ndarray:
@@ -73,7 +66,7 @@ class Subspace:
             raise SubspaceError("subspace basis must be 2 or 3 vectors in R^4")
         if not np.all(np.isfinite(b)):
             raise SubspaceError("subspace basis has non-finite entries")
-        if _rank(b) != b.shape[0]:
+        if _orthonormal_basis(b).shape[0] != b.shape[0]:
             raise SubspaceError("dependent spanning set")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -106,7 +99,7 @@ def generates(alg: StructureConstants, p: Subspace) -> GenerationResult:
         # V_i lies in V_{i+1} (the tolerance of _contains); brackets large
         # enough to push the unit rows of V_i under the rank cutoff would
         # make the flag lose dimensions
-        if np.linalg.norm(rows - rows @ q.T @ q) > 1e-9:
+        if not is_zero(norm(rows - rows @ q.T @ q), 1.0):
             raise SubspaceError("bracket generation out of numerical range: "
                                 "the brackets swamp the subspace")
         rows = q
@@ -120,7 +113,8 @@ def generates(alg: StructureConstants, p: Subspace) -> GenerationResult:
 class CanonicalBasis:
     """Basis with [e1,e2] = e3, [e1,e3] = e4 and the e4-component of
     [e2,e3] removed; the e2-shift of e1 is applied whenever it can zero
-    the e2-component of [e2,e3]."""
+    the e2-component of [e2,e3].  ``constants`` is (C123, C223, C323)
+    with each one that counts as zero set to 0.0, decided here only."""
 
     algebra: StructureConstants
     e1: np.ndarray
@@ -129,6 +123,7 @@ class CanonicalBasis:
     e4: np.ndarray
     c23: np.ndarray
     c24: np.ndarray
+    constants: tuple
     #: columns of final (e1, e2) in coordinates of the input spanners
     frame_from_spanners: np.ndarray
 
@@ -141,10 +136,12 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
     """Construct the canonical basis from a generating 2D subspace.
 
     Tie-break: the first spanner is preferred as e1; if e1, e2, [e1,e2],
-    [e1,[e1,e2]] fail the rank-4 test the spanners are swapped.
+    [e1,[e1,e2]] fail the rank-4 test the spanners are swapped.  In exact
+    arithmetic one ordering of a generating subspace passes.
     """
     if p.dim != 2:
         raise SubspaceError("canonical basis needs a 2D subspace")
+    cn = norm(alg.c)
     v1, v2 = p.basis
     for e1, e2, frame in (
         (v1, v2, np.eye(2)),
@@ -152,10 +149,14 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
     ):
         e3 = bracket(alg, e1, e2)
         e4 = bracket(alg, e1, e3)
-        if _rank([e1, e2, e3, e4]) == DIM:
+        n1, n3, n4 = norm(e1), norm(e3), norm(e4)
+        # a bracket [x, y] counts as zero against |c| |x| |y|
+        if (np.isfinite(n4) and not is_zero(n3, cn * n1 * norm(e2))
+                and not is_zero(n4, cn * n1 * n3) and rank([e1, e2, e3, e4]) == DIM):
             break
     else:
-        raise SubspaceError("canonicalization failed: no rank-4 ordering")
+        raise SubspaceError("canonicalization out of numerical range: no ordering "
+                            "of the spanners gives a rank-4 basis")
 
     basis = np.stack([e1, e2, e3, e4], axis=1)
     c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
@@ -167,19 +168,23 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
         basis = np.stack([e1, e2, e3, e4], axis=1)
         c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
 
-    if abs(c23[0]) > RANK_RTOL and abs(c23[1]) > RANK_RTOL:
-        # e1 <- e1 + (C223/C123) e2 zeroes C223; e3 is unchanged, e4 moves
+    n2 = norm(e2)  # Ck23 is zero when its component Ck23 e_k of [e2, e3] is
+    zero = [is_zero(c * n, cn * n2 * n3) for c, n in zip(c23, (n1, n2, n3))]
+    if not (zero[0] or zero[1]):
+        # e1 <- e1 + (C223/C123) e2 zeroes C223 only; e3 is unchanged, e4 moves
         x = c23[1] / c23[0]
         e1 = e1 + x * e2
         frame = frame @ np.array([[1.0, 0.0], [x, 1.0]])
         e4 = bracket(alg, e1, e3)
         basis = np.stack([e1, e2, e3, e4], axis=1)
         c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
+        zero[1] = True
 
     c24 = np.linalg.solve(basis, bracket(alg, e2, e4))
     return CanonicalBasis(
-        algebra=alg, e1=e1, e2=e2, e3=e3, e4=e4,
-        c23=c23, c24=c24, frame_from_spanners=frame,
+        algebra=alg, e1=e1, e2=e2, e3=e3, e4=e4, c23=c23, c24=c24,
+        constants=tuple(0.0 if z else float(c) for c, z in zip(c23, zero)),
+        frame_from_spanners=frame,
     )
 
 
@@ -245,7 +250,7 @@ def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2Typing
     q = _typing_form(alg, family)
 
     p1 = _orthonormal_basis(p.basis[:, :3])
-    in_g3 = _rank(np.vstack([p.basis, np.eye(DIM)[:3]])) == 3
+    in_g3 = rank(np.vstack([p.basis, np.eye(DIM)[:3]])) == 3
     detail: dict = {"p1_dim": int(p1.shape[0])}
     if in_g3 or p1.shape[0] != 2:
         return SL2Typing(SL2SubspaceType.Degenerate, detail)
@@ -253,7 +258,7 @@ def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2Typing
     gram = p1 @ q @ p1.T
     eigs = np.linalg.eigvalsh(gram)
     detail["gram_eigs"] = [float(x) for x in eigs]
-    if min(abs(eigs)) <= 1e-9 * max(1.0, max(abs(eigs))):
+    if is_zero(min(abs(eigs)), norm(q)):
         return SL2Typing(SL2SubspaceType.Degenerate, detail)
 
     if family == "g3.7+g1":
@@ -269,7 +274,7 @@ def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2Typing
     v = s[0][:3]
     qv = float(v @ q[:3, :3] @ v)
     detail["s_form_value"] = qv
-    if abs(qv) <= 1e-9:
+    if is_zero(qv, norm(q)):
         return SL2Typing(SL2SubspaceType.TypeIIc, detail)
     if qv > 0:
         return SL2Typing(SL2SubspaceType.TypeIIa, detail)

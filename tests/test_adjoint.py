@@ -198,7 +198,7 @@ def test_witness_axis_case():
 
 
 def test_witness_linear_drift_case_returns_none():
-    fake = SimpleNamespace(c23=np.array([0.0, 1.0, -1.0, 0.0]))
+    fake = SimpleNamespace(c23=np.array([0.0, 1.0, -1.0, 0.0]), constants=(0.0, 1.0, -1.0))
     assert witness_search(fake, Disk((0, 0), 1.0), 1) is None
 
 

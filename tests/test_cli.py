@@ -204,6 +204,8 @@ BAD_JOBS = {
     "huge_integer_radius": dict(GOOD_JOB, body={"disk": {"radius": 10 ** 400}}),
     "huge_integer_subspace": dict(GOOD_JOB, subspace=[[10 ** 400, 0, 0, 0], [0, 1, 0, 0]]),
     "huge_integer_alpha": dict(GOOD_JOB, algebra={"family": "g4.2", "alpha": 10 ** 400}),
+    "overflowing_brackets": dict(GOOD_JOB, algebra={"family": "g4.7"},
+                                 subspace=[[1e110, 0, 0, 1e110], [0, 1e110, 1e110, 0]]),
 }
 
 
@@ -276,6 +278,45 @@ def test_ode_psi0_takes_a_separate_negative_value(tmp_path, capsys):
     joined = run(capsys, "ode", "--config", str(cfg), "-T", "0.1", "--psi0=-0.5,0.5,0.5,0.5")
     separate = run(capsys, "ode", "--config", str(cfg), "-T", "0.1", "--psi0", "-0.5,0.5,0.5,0.5")
     assert joined[0] == 0 and separate == joined
+
+
+@pytest.mark.parametrize("separate, joined", [
+    (["verify", "g4.5", "--alpha", "-1e3", "--beta", "1e3"],
+     ["verify", "g4.5", "--alpha=-1e3", "--beta", "1e3"]),
+    (["catalog", "show", "g4.8", "--alpha", "-5e-1"], ["catalog", "show", "g4.8", "--alpha=-5e-1"]),
+    (["ode", "--config", "{cfg}", "-T", "0.01", "--psi", "-0.5,0.5,0.5,0.5"],
+     ["ode", "--config", "{cfg}", "-T", "0.01", "--psi0=-0.5,0.5,0.5,0.5"]),
+    (["ode", "--config", "{cfg}", "-T", "0.01", "--psi0", "-.5,0.5,0.5,0.5"],
+     ["ode", "--config", "{cfg}", "-T", "0.01", "--psi0=-.5,0.5,0.5,0.5"]),
+], ids=["verify_alpha", "catalog_alpha", "ode_psi_abbreviation", "ode_psi0_leading_dot"])
+def test_negative_option_value_may_be_separate(tmp_path, capsys, separate, joined):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(GOOD_JOB))
+    got = run(capsys, *[arg.format(cfg=cfg) for arg in separate])
+    assert "expected one argument" not in got[2]
+    assert got == run(capsys, *[arg.format(cfg=cfg) for arg in joined])
+
+
+@pytest.mark.parametrize("family", ["g4.2", "g3.4+g1", "g3.5+g1", "g4.9", "g4.6"])
+def test_large_parameters_classify_or_report_numerical_range(tmp_path, capsys, family):
+    cfg = tmp_path / "job.json"
+    # alpha = 1 is outside the parameters of g3.4+g1 and has no known
+    # generating subspace in g4.2
+    alphas = [10 ** (j / 4) for j in range(41) if j or family not in ("g4.2", "g3.4+g1")]
+    for alpha in alphas + [1e200]:
+        algebra = {"family": family, "alpha": alpha} | ({"beta": alpha} if family == "g4.6" else {})
+        for body in ({"disk": {"radius": 1.0}}, {"disk": {"center": [0.5, 0], "radius": 1.0}}):
+            cfg.write_text(json.dumps({"algebra": algebra, "subspace": "known", "body": body}))
+            code, out, err = run(capsys, "classify", "--config", str(cfg))
+            if code == 0:
+                assert json.loads(out)["classification"]["consistent"], alpha
+            else:
+                assert code == 2 and "out of numerical range" in err, (alpha, err)
+
+
+def test_verify_large_equal_parameters(capsys):
+    code, out, _ = run(capsys, "verify", "g4.6", "--alpha", "1e3", "--beta", "1e3")
+    assert code == 0 and json.loads(out)["pass"]
 
 
 @pytest.mark.parametrize("algebra, argv", [

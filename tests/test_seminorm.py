@@ -119,6 +119,8 @@ def test_boundary_gauge_is_one():
         (SHIFTED, False, False),
         (SQUARE, True, True),
         (QUAD, True, True),
+        # validation and axis condition relative to the polygon's size
+        (Polygon(1e-15 * np.array([[1, -1], [0.3, 1], [-1, -0.5]])), False, False),
     ],
 )
 def test_axis_condition_fixtures(body, plus, minus):

@@ -1,0 +1,85 @@
+"""Scale invariance of the verdicts, and the one home of the tolerances.
+
+The criterion reads only which canonical constants vanish and the shape of
+the control body, so rescaling the spanners or the body must leave every
+verdict, per-direction reason and oracle verdict as it is.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import abnorm
+from abnorm.catalog import AlgebraId, default_id, instantiate, known_generating_subspace
+from abnorm.extremal import classify_basis, classify_dim3, dispatch
+from abnorm.seminorm import Disk, Polygon
+from abnorm.subspace import Subspace, canonical_basis, generates
+
+E = np.eye(4)
+BODIES = {
+    "disk": Disk((0, 0), 1.0),
+    "shifted": Disk((0.5, 0.0), 1.0),
+    "square": Polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]]),
+    "quad": Polygon([[1, 0], [0, 1], [-2, 0], [0, -1]]),
+}
+KNOWN = ["g3.2+g1", "g3.4+g1", "g3.5+g1", "g3.6+g1", "g3.7+g1", "g4.1", "g4.2",
+         "g4.3", "g4.4", "g4.5", "g4.6", "g4.7", "g4.8", "g4.9", "g4.10"]
+#: every 10th exponent and the ends of [-100, 100]
+EXPONENTS = range(-100, 101, 10)
+
+
+def known(fam, scale=1.0):
+    aid = default_id(fam)
+    alg = instantiate(aid)
+    p = Subspace(alg, scale * np.stack(known_generating_subspace(aid).span))
+    assert generates(alg, p)
+    return aid, p, canonical_basis(alg, p)
+
+
+def signature(aid, p, basis, body):
+    rep = classify_basis(basis, body)
+    disp = dispatch(aid, p, body, rep)
+    return (rep.combined, tuple(rep.directions[s].reason for s in (1, -1)),
+            disp.oracle_verdict, disp.consistent)
+
+
+@pytest.mark.parametrize("body", sorted(BODIES))
+@pytest.mark.parametrize("base", [2.0, 10.0])
+def test_verdicts_invariant_under_spanner_scaling(base, body):
+    for fam in KNOWN:
+        want = signature(*known(fam), BODIES[body])
+        for k in EXPONENTS:
+            assert signature(*known(fam, base ** k), BODIES[body]) == want, (fam, k)
+
+
+@pytest.mark.parametrize("fam", KNOWN)
+def test_verdicts_invariant_under_body_scaling(fam):
+    aid, p, basis = known(fam)
+    for name, body in BODIES.items():
+        want = signature(aid, p, basis, body)
+        for k in EXPONENTS:
+            assert signature(aid, p, basis, body.scaled(10.0 ** k)) == want, (k, name)
+
+
+@pytest.mark.parametrize("fam", ["g4.1", "g4.3"])
+def test_dim3_verdict_invariant_under_spanner_scaling(fam):
+    alg = instantiate(AlgebraId(fam))
+    rows = np.stack([E[0], E[2], E[3]])
+    want = classify_dim3(alg, Subspace(alg, rows)).verdict
+    for k in EXPONENTS:
+        assert classify_dim3(alg, Subspace(alg, 10.0 ** k * rows)).verdict is want, k
+
+
+def test_no_tolerance_literal_outside_tolerances():
+    # every small threshold is a named, documented constant of abnorm.tolerances
+    src = Path(abnorm.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(src.glob("*.py")) if path.name != "tolerances.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and 0.0 < node.value < 1e-6
+    ]
+    assert not found
