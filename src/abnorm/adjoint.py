@@ -14,7 +14,7 @@ import numpy as np
 from .lie import expm
 from .seminorm import SeminormBody
 from .subspace import CanonicalBasis
-from .tolerances import CLOSED_FORM_ATOL, SUPPORT_TOL
+from .tolerances import SUPPORT_TOL, is_zero, norm
 
 
 def system_matrix(c23, u2: float) -> np.ndarray:
@@ -88,28 +88,32 @@ class ClosedFormPsi1:
 
 def closed_form_psi1(c23, u2: float, a1: float, a2: float) -> ClosedFormPsi1:
     """General solution of psi1'' - u2 C323 psi1' + u2^2 C123 psi1 + u2 C223 = 0,
-    split by the discriminant B = (C323)^2 - 4 C123 when C123 != 0."""
+    split by the discriminant B = (C323)^2 - 4 C123 when C123 != 0.  The map
+    (C123, C223, C323, u2) -> (l^2 C123, l C223, l C323, u2 / l) leaves the
+    equation as it is, so C223 and C323 count as zero against the constants'
+    scale d, and C123 and B against d^2."""
     c1, c2, c3 = float(c23[0]), float(c23[1]), float(c23[2])
+    d = norm([c2, c3, math.sqrt(abs(c1))])
     b = c3 * c3 - 4.0 * c1
-    if abs(c1) > CLOSED_FORM_ATOL:
-        if abs(c2) > CLOSED_FORM_ATOL:
+    if not is_zero(c1, d * d):
+        if not is_zero(c2, d):
             raise ValueError("closed form expects the C223 = 0 normalization when C123 != 0")
-        if b > CLOSED_FORM_ATOL:
+        if is_zero(b, d * d):
+            rate = 0.5 * c3 * u2
+            fn = lambda t: (a1 * np.asarray(t) + a2) * np.exp(rate * t)
+            case = "B_zero"
+        elif b > 0:
             lam1 = u2 * (c3 + math.sqrt(b)) / 2.0
             lam2 = u2 * (c3 - math.sqrt(b)) / 2.0
             fn = lambda t: a1 * np.exp(lam1 * t) + a2 * np.exp(lam2 * t)
             case = "B_pos"
-        elif b < -CLOSED_FORM_ATOL:
+        else:
             rate = 0.5 * c3 * u2
             omega = u2 * math.sqrt(-b) / 2.0
             fn = lambda t: np.exp(rate * t) * (a1 * np.cos(omega * t) + a2 * np.sin(omega * t))
             case = "B_neg"
-        else:
-            rate = 0.5 * c3 * u2
-            fn = lambda t: (a1 * np.asarray(t) + a2) * np.exp(rate * t)
-            case = "B_zero"
     else:
-        if abs(c3) > CLOSED_FORM_ATOL:
+        if not is_zero(c3, d):
             rate = c3 * u2
             fn = lambda t: a1 * np.exp(rate * t) + (c2 / c3) * np.asarray(t) + a2
         else:

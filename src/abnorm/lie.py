@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .tolerances import ANTISYMMETRY_TOL, DET_TOL
+from .tolerances import ANTISYMMETRY_TOL, rank
 
 DIM = 4
 
@@ -104,10 +104,13 @@ def killing_matrix(alg: StructureConstants) -> np.ndarray:
 def automorphism_defect(alg: StructureConstants, m) -> float:
     """Max-entry norm of m[E_i, E_j] - [m E_i, m E_j] over basis pairs.
 
-    Zero iff m is a Lie algebra automorphism.
+    Zero iff m is a Lie algebra automorphism.  A matrix whose rows, each
+    taken at unit size, have rank below 4 is refused.
     """
     m = np.asarray(m, dtype=float)
-    if abs(np.linalg.det(m)) < DET_TOL:
+    if not np.isfinite(m).all():
+        raise LieError("automorphism matrix must be finite")
+    if rank(m) < DIM:
         raise LieError("not invertible")
     worst = 0.0
     e = np.eye(DIM)

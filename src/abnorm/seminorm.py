@@ -8,6 +8,7 @@ asymmetric; nothing here assumes F(u) = F(-u).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +171,10 @@ def Disk(center, radius: float) -> Ellipse:
         raise BodyError("disk radius must be a finite number")
     if r <= 0:
         raise BodyError("disk radius must be positive")
-    return Ellipse(np.asarray(center, dtype=float), r * r * np.eye(2))
+    r2 = float(r) * float(r)  # a Python float product overflows to inf without a warning
+    if not 0.0 < r2 < math.inf:
+        raise BodyError("disk radius out of numerical range")
+    return Ellipse(np.asarray(center, dtype=float), r2 * np.eye(2))
 
 
 def axis_condition(b: SeminormBody, s: int) -> bool:

@@ -5,71 +5,53 @@ decomposable algebras with simple 3D part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .lie import DIM, StructureConstants, bracket, killing_matrix
-from .tolerances import RTOL, is_zero, norm, rank
+from .tolerances import is_zero, norm, rank, row_and_null_space, span
 
 
 class SubspaceError(ValueError):
     pass
 
 
-def _orthonormal_basis(vectors) -> np.ndarray:
-    """Rows: orthonormal basis of the span; rank by singular-value cutoff."""
-    a = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if not len(a):
-        return np.zeros((0, DIM))
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, a.shape[1]))
-    return vt[:int(np.sum(s > RTOL * s[0]))]
-
-
 def _contains(space_rows, vector) -> bool:
-    q = _orthonormal_basis(space_rows)
+    q = span(space_rows)
     v = np.asarray(vector, dtype=float)
     return is_zero(norm(v - q.T @ (q @ v)), norm(v))
 
 
-def _null_space(m) -> np.ndarray:
-    """Orthonormal rows spanning {x : m x = 0}."""
-    _, s, vt = np.linalg.svd(m)
-    return vt[np.sum(s > RTOL * s[0]):]
-
-
 def intersect(rows_a, rows_b) -> np.ndarray:
     """Orthonormal rows spanning span(A) ∩ span(B)."""
-    qa = _orthonormal_basis(rows_a)
-    qb = _orthonormal_basis(rows_b)
-    if not len(qa) or not len(qb):
-        return np.zeros((0, DIM))
+    qa, qb = span(rows_a), span(rows_b)
     # null space of [A^T | -B^T] glues coefficients of a common vector
-    ns = _null_space(np.hstack([qa.T, -qb.T]))
-    if not len(ns):
-        return np.zeros((0, DIM))
-    vecs = ns[:, : len(qa)] @ qa
-    return _orthonormal_basis(vecs)
+    ns = row_and_null_space(np.hstack([qa.T, -qb.T]))[1]
+    return span(ns[:, : len(qa)] @ qa)
 
 
 @dataclass(frozen=True)
 class Subspace:
     algebra: StructureConstants
     basis: np.ndarray  # rows
+    #: orthonormal rows with the span of ``basis``
+    orthonormal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.basis, dtype=float))
+        b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] not in (2, 3) or b.shape[1] != DIM:
             raise SubspaceError("subspace basis must be 2 or 3 vectors in R^4")
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise SubspaceError("subspace basis has non-finite entries")
-        if _orthonormal_basis(b).shape[0] != b.shape[0]:
+        q = span(b)
+        if len(q) != len(b):
             raise SubspaceError("dependent spanning set")
         b.setflags(write=False)
+        q.setflags(write=False)
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "orthonormal", q)
 
     @property
     def dim(self) -> int:
@@ -87,7 +69,7 @@ class GenerationResult:
 
 def generates(alg: StructureConstants, p: Subspace) -> GenerationResult:
     """Flag test: V0 = p, V_{i+1} = V_i + [V_i, V_i] until stabilization."""
-    rows = _orthonormal_basis(p.basis)
+    rows = p.orthonormal
     dims = [rows.shape[0]]
     while dims[-1] < DIM:
         new = list(rows)
@@ -95,10 +77,10 @@ def generates(alg: StructureConstants, p: Subspace) -> GenerationResult:
         for i in range(n):
             for j in range(i + 1, n):
                 new.append(bracket(alg, rows[i], rows[j]))
-        q = _orthonormal_basis(new)
-        # V_i lies in V_{i+1} (the tolerance of _contains); brackets large
-        # enough to push the unit rows of V_i under the rank cutoff would
-        # make the flag lose dimensions
+        # the one rank at raw scale: the unit rows of V_i beside brackets at
+        # their own size, so that brackets large enough to push V_i under the
+        # rank cutoff (V_i must lie in V_{i+1}) show
+        q = row_and_null_space(new)[0]
         if not is_zero(norm(rows - rows @ q.T @ q), 1.0):
             raise SubspaceError("bracket generation out of numerical range: "
                                 "the brackets swamp the subspace")
@@ -122,7 +104,6 @@ class CanonicalBasis:
     e3: np.ndarray
     e4: np.ndarray
     c23: np.ndarray
-    c24: np.ndarray
     constants: tuple
     #: columns of final (e1, e2) in coordinates of the input spanners
     frame_from_spanners: np.ndarray
@@ -180,9 +161,8 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
         c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
         zero[1] = True
 
-    c24 = np.linalg.solve(basis, bracket(alg, e2, e4))
     return CanonicalBasis(
-        algebra=alg, e1=e1, e2=e2, e3=e3, e4=e4, c23=c23, c24=c24,
+        algebra=alg, e1=e1, e2=e2, e3=e3, e4=e4, c23=c23,
         constants=tuple(0.0 if z else float(c) for c, z in zip(c23, zero)),
         frame_from_spanners=frame,
     )
@@ -190,27 +170,22 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
 
 def check_prop2(b: CanonicalBasis) -> float:
     """Max violation of C124 = C224 = 0, C324 = C223, C424 = C323."""
-    return float(
-        max(
-            abs(b.c24[0]),
-            abs(b.c24[1]),
-            abs(b.c24[2] - b.c23[1]),
-            abs(b.c24[3] - b.c23[2]),
-        )
-    )
+    c24 = np.linalg.solve(np.stack([b.e1, b.e2, b.e3, b.e4], axis=1),
+                          bracket(b.algebra, b.e2, b.e4))
+    return float(max(abs(c24[0]), abs(c24[1]), abs(c24[2] - b.c23[1]), abs(c24[3] - b.c23[2])))
 
 
 def normalizer(alg: StructureConstants, p: Subspace) -> np.ndarray:
     """N(p) = {X : [X, v] in p for all v in p}; orthonormal rows."""
-    q = _orthonormal_basis(p.basis)
-    comp = _orthonormal_basis(np.eye(DIM) - q.T @ q)  # complement of p
+    q = p.orthonormal
+    comp = row_and_null_space(q)[1]  # complement of p
     # X -> projection of [X, v] off p, linear in X
-    return _null_space(np.vstack([comp @ np.einsum("ijk,j->ki", alg.c, v) for v in p.basis]))
+    return row_and_null_space(np.vstack([comp @ np.einsum("ijk,j->ki", alg.c, v) for v in q]))[1]
 
 
 def centralizer(alg: StructureConstants, p: Subspace) -> np.ndarray:
     """C(p) = {X : [X, v] = 0 for all v in p}; orthonormal rows."""
-    return _null_space(np.vstack([np.einsum("ijk,j->ki", alg.c, v) for v in p.basis]))
+    return row_and_null_space(np.vstack([np.einsum("ijk,j->ki", alg.c, v) for v in p.orthonormal]))[1]
 
 
 class SL2SubspaceType(Enum):
@@ -224,7 +199,6 @@ class SL2SubspaceType(Enum):
 @dataclass(frozen=True)
 class SL2Typing:
     tag: SL2SubspaceType
-    detail: dict
 
 
 # the typing form Q on the 3D part reproduces signature (+,+,-) for the
@@ -249,33 +223,29 @@ def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2Typing
         raise SubspaceError("2D subspace expected")
     q = _typing_form(alg, family)
 
-    p1 = _orthonormal_basis(p.basis[:, :3])
+    # from orthonormal rows of p, the smallest singular value of the
+    # projection is the sine of the angle between p and E4
+    p1 = row_and_null_space(p.orthonormal[:, :3])[0]
     in_g3 = rank(np.vstack([p.basis, np.eye(DIM)[:3]])) == 3
-    detail: dict = {"p1_dim": int(p1.shape[0])}
     if in_g3 or p1.shape[0] != 2:
-        return SL2Typing(SL2SubspaceType.Degenerate, detail)
+        return SL2Typing(SL2SubspaceType.Degenerate)
 
     gram = p1 @ q @ p1.T
     eigs = np.linalg.eigvalsh(gram)
-    detail["gram_eigs"] = [float(x) for x in eigs]
     if is_zero(min(abs(eigs)), norm(q)):
-        return SL2Typing(SL2SubspaceType.Degenerate, detail)
+        return SL2Typing(SL2SubspaceType.Degenerate)
 
-    if family == "g3.7+g1":
-        return SL2Typing(SL2SubspaceType.TypeI, detail)
-
-    if np.all(eigs > 0):
-        return SL2Typing(SL2SubspaceType.TypeI, detail)
+    if family == "g3.7+g1" or np.all(eigs > 0):
+        return SL2Typing(SL2SubspaceType.TypeI)
 
     # indefinite restriction: refine by the causal type of s = p ∩ g3
     s = intersect(p.basis, np.eye(DIM)[:3])
     if s.shape[0] != 1:
-        return SL2Typing(SL2SubspaceType.Degenerate, detail)
+        return SL2Typing(SL2SubspaceType.Degenerate)
     v = s[0][:3]
     qv = float(v @ q[:3, :3] @ v)
-    detail["s_form_value"] = qv
     if is_zero(qv, norm(q)):
-        return SL2Typing(SL2SubspaceType.TypeIIc, detail)
+        return SL2Typing(SL2SubspaceType.TypeIIc)
     if qv > 0:
-        return SL2Typing(SL2SubspaceType.TypeIIa, detail)
-    return SL2Typing(SL2SubspaceType.TypeIIb, detail)
+        return SL2Typing(SL2SubspaceType.TypeIIa)
+    return SL2Typing(SL2SubspaceType.TypeIIb)

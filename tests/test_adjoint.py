@@ -160,6 +160,21 @@ def test_closed_form_solves_equation(c23, case):
         assert abs(resid) <= 1e-4, (c23, t, resid)
 
 
+@pytest.mark.parametrize("c23,case", CASES)
+def test_closed_form_invariant_under_constant_scaling(c23, case):
+    # (c1, c2, c3, u2) -> (l^2 c1, l c2, l c3, u2 / l) leaves the equation and
+    # its solutions as they are; l = 1e-5 on the first case is c = (2e-10, 0, 0)
+    # with u2 = 9e4
+    c1, c2, c3 = c23
+    u2, ts = 0.9, np.linspace(0.0, 3.0, 7)
+    want = closed_form_psi1(c23, u2, a1=0.7, a2=-0.4)(ts)
+    for k in range(-20, 21):
+        lam = 10.0 ** k
+        cf = closed_form_psi1([lam * lam * c1, lam * c2, lam * c3], u2 / lam, a1=0.7, a2=-0.4)
+        assert cf.case == case, k
+        assert np.allclose(cf(ts), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), k
+
+
 def test_closed_form_matches_integration():
     u2 = 0.8
     for c23, _ in CASES:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,17 @@ def test_classify_malformed_config_exits_2(tmp_path, capsys, name):
     cfg.write_text(json.dumps(BAD_JOBS[name]))
     code, _, err = run(capsys, "classify", "--config", str(cfg))
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("radius", [1e-170, 1e200])
+def test_classify_disk_radius_out_of_range_exits_2(tmp_path, capsys, radius):
+    # radius**2 underflows to 0 or overflows: refused before any numpy warning
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(dict(GOOD_JOB, body={"disk": {"radius": radius}})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "classify", "--config", str(cfg))
+    assert code == 2 and err == "error: disk radius out of numerical range\n"
 
 
 @pytest.mark.parametrize("family", ["g4.2", "g4.9"])

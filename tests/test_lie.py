@@ -100,6 +100,17 @@ def test_automorphism_defect_rejects_singular():
         automorphism_defect(alg, np.zeros((4, 4)))
 
 
+def test_automorphism_defect_invertibility_is_scale_free():
+    alg = heis()
+    assert np.isfinite(automorphism_defect(alg, 1e-4 * np.eye(4)))
+    for k in range(-100, 101, 10):
+        assert np.isfinite(automorphism_defect(alg, np.diag([10.0 ** k, 1.0, 1.0, 1.0])))
+    with pytest.raises(LieError, match="not invertible"):
+        automorphism_defect(alg, np.stack([np.eye(4)[0], 1e5 * np.eye(4)[0], np.eye(4)[2], np.eye(4)[3]]))
+    with pytest.raises(LieError, match="finite"):
+        automorphism_defect(alg, np.full((4, 4), np.nan))
+
+
 def test_inner_automorphism_is_automorphism():
     rng = np.random.default_rng(3)
     for fam in ["g3.6+g1", "g3.7+g1", "g4.7", "g4.10"]:

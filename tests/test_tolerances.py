@@ -6,6 +6,7 @@ verdict, per-direction reason and oracle verdict as it is.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,15 @@ import abnorm
 from abnorm.catalog import AlgebraId, default_id, instantiate, known_generating_subspace
 from abnorm.extremal import classify_basis, classify_dim3, dispatch
 from abnorm.seminorm import Disk, Polygon
-from abnorm.subspace import Subspace, canonical_basis, generates
+from abnorm.subspace import (
+    Subspace,
+    canonical_basis,
+    centralizer,
+    classify_sl2,
+    generates,
+    normalizer,
+)
+from abnorm.tolerances import rank, span
 
 E = np.eye(4)
 BODIES = {
@@ -81,5 +90,91 @@ def test_no_tolerance_literal_outside_tolerances():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Constant) and isinstance(node.value, float)
         and 0.0 < node.value < 1e-6
+    ]
+    assert not found
+
+
+def row_scaled(rows, i, k):
+    """rows with row i multiplied by 10^k"""
+    out = np.array(rows, dtype=float)
+    out[i] *= 10.0 ** k
+    return out
+
+
+def dispatch_signature(aid, alg, rows, body):
+    p = Subspace(alg, rows)
+    assert generates(alg, p)
+    disp = dispatch(aid, p, body, classify_basis(canonical_basis(alg, p), body))
+    return (disp.criterion_verdict, disp.oracle_verdict, disp.consistent, disp.sl2_type,
+            disp.flagged_tension)
+
+
+@pytest.mark.parametrize("body", sorted(BODIES))
+def test_verdicts_invariant_under_per_row_spanner_scaling(body):
+    # spanners may differ in length by any factor
+    for fam in KNOWN:
+        aid = default_id(fam)
+        alg = instantiate(aid)
+        rows = np.stack(known_generating_subspace(aid).span)
+        want = dispatch_signature(aid, alg, rows, BODIES[body])
+        for i in range(2):
+            for k in EXPONENTS:
+                got = dispatch_signature(aid, alg, row_scaled(rows, i, k), BODIES[body])
+                assert got == want, (fam, i, k)
+
+
+SL2_TYPED = {"I": [E[0], E[1] + E[3]], "IIa": [E[0], E[2] + E[3]], "IIb": [E[2], E[0] + E[3]]}
+
+
+@pytest.mark.parametrize("tag", sorted(SL2_TYPED))
+def test_sl2_typing_invariant_under_per_row_spanner_scaling(tag):
+    aid = default_id("g3.6+g1")
+    alg = instantiate(aid)
+    rows = np.stack(SL2_TYPED[tag])
+    want = {name: dispatch_signature(aid, alg, rows, body) for name, body in BODIES.items()}
+    for i in range(2):
+        for k in EXPONENTS:
+            scaled = row_scaled(rows, i, k)
+            assert classify_sl2(alg, Subspace(alg, scaled), "g3.6+g1").tag.value == tag, (i, k)
+            for name, body in BODIES.items():
+                assert dispatch_signature(aid, alg, scaled, body) == want[name], (i, k, name)
+
+
+@pytest.mark.parametrize("fam", ["g4.1", "g4.3"])
+def test_dim3_invariant_under_per_row_spanner_scaling(fam):
+    alg = instantiate(AlgebraId(fam))
+
+    def signature3(rows):
+        p = Subspace(alg, rows)
+        return classify_dim3(alg, p).verdict, len(normalizer(alg, p)), len(centralizer(alg, p))
+
+    rows = np.stack([E[0], E[2], E[3]])
+    want = signature3(rows)
+    for i in range(3):
+        for k in EXPONENTS:
+            assert signature3(row_scaled(rows, i, k)) == want, (i, k)
+
+
+def test_span_takes_each_row_at_unit_size():
+    # rows at both ends of the float range count; an exact-zero row spans nothing
+    rows = [[1.5e308, 1.5e308, 0, 0], [0, 0, 5e-324, 0], [0, 0, 0, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = span(rows)
+        assert rank(rows) == 2
+    for v in ([0.5 ** 0.5, 0.5 ** 0.5, 0, 0], [0, 0, 1, 0]):
+        assert np.allclose(q.T @ (q @ v), v)
+
+
+def test_no_singular_value_cutoff_outside_tolerances():
+    # every span, null-space and invertibility test goes through abnorm.tolerances
+    names = {"svd", "det", "slogdet", "matrix_rank", "pinv", "lstsq"}
+    src = Path(abnorm.__file__).parent
+    found = [
+        f"{path.name}: {node.attr if isinstance(node, ast.Attribute) else node.name}"
+        for path in sorted(src.glob("*.py")) if path.name != "tolerances.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
     ]
     assert not found
