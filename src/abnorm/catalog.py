@@ -166,6 +166,9 @@ def _family_entry(id: AlgebraId) -> dict:
     for name in entry["params"]:
         if name not in env:
             raise CatalogError(f"{id.family} requires parameter {name}")
+    for name in env:
+        if name not in entry["params"]:
+            raise CatalogError(f"{id.family} takes no parameter {name}")
     if not _eval(entry["param_constraint"], env):
         raise CatalogError(
             f"invalid parameters for {id.family}: need {entry['constraint_text']}"

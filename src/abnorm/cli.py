@@ -191,11 +191,8 @@ def _classify_report(cfg: dict) -> dict:
         raise NonGeneratingError(json.dumps(report, sort_keys=True))
     if p.dim == 3:
         d3 = extremal.dim3_report(alg, p)
-        report["dim3"] = {
-            "exists": d3.exists,
-            "p1": None if d3.p1 is None else _vec(d3.p1),
-            "verdict": None if d3.verdict is None else d3.verdict.value,
-        }
+        # a generating 3D subspace always has its abnormal line p1
+        report["dim3"] = {"exists": True, "p1": _vec(d3.p1), "verdict": d3.verdict.value}
         return report
     body = body_from_config(cfg.get("body", DEFAULT_BODY))
     report["config"]["body"] = body_to_config(body)
@@ -237,8 +234,7 @@ def cmd_classify(args) -> int:
     if args.expect:
         want = {"strict": "strict", "nonstrict": "non-strict"}[args.expect]
         if "dim3" in report:
-            got = report["dim3"]["verdict"] or ""
-            return EXIT_OK if got.startswith(want) else 1
+            return EXIT_OK if report["dim3"]["verdict"].startswith(want) else 1
         return EXIT_OK if report["classification"]["verdict"] == want else 1
     return EXIT_OK
 

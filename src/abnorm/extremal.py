@@ -1,9 +1,10 @@
 """Abnormal extremal descriptors and the strict/non-strict classification.
 
 The 2D case uses the canonical structure constants plus the axis condition
-on the control body; the 3D case is purely algebraic (normalizer and
-centralizer).  The summary dispatch cross-checks the per-family summary
-statement against the criterion and the ODE witness oracle.
+on the control body; the 3D case is purely algebraic (the closed-form line
+p1 and its brackets with p).  The summary dispatch cross-checks the
+per-family summary statement against the criterion and the ODE witness
+oracle.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from .subspace import (
     canonical_basis,
     classify_sl2,
     generates,
-    intersect,
-    normalizer,
 )
-from .tolerances import is_zero, norm
+from .tolerances import is_zero, norm, row_and_null_space
 
 
 class Verdict(Enum):
@@ -145,24 +144,29 @@ class Dim3Verdict(Enum):
 
 @dataclass(frozen=True)
 class Dim3Report:
-    exists: bool
-    p1: np.ndarray | None
-    verdict: Dim3Verdict | None
+    p1: np.ndarray
+    verdict: Dim3Verdict
 
 
 def dim3_report(alg: StructureConstants, p: Subspace) -> Dim3Report:
-    """Abnormal extremals of a generating 3D subspace: they exist iff
-    p1 = p ∩ N(p) is nonzero (then one-dimensional); strictness from p1
-    vs [p1, p]."""
-    p1 = intersect(p.basis, normalizer(alg, p))
-    if p1.shape[0] == 0:
-        return Dim3Report(exists=False, p1=None, verdict=None)
-    assert p1.shape[0] == 1, "p ∩ N(p) must be a line for a generating 3D subspace"
-    x = p1[0]
-    # [x, v] is zero against |c| |x| |v|, its largest size (round-off near 1e-16)
-    cx = norm(alg.c) * norm(x)
+    """Abnormal extremals of a generating 3D subspace run along the line
+    p1 = p ∩ N(p), the kernel of the antisymmetric form psi0([x, y]) on p
+    (psi0 annihilates p).  The form is zero only on a subalgebra, so here it
+    has rank 2; on orthonormal rows q of p its kernel is (b23, -b13, b12) @ q,
+    b_ij = psi0([q_i, q_j]).  p1 has unit length and its first entry that is
+    not zero against RTOL positive.  Strictness from p1 vs [p1, p]."""
+    q = p.orthonormal
+    psi0 = row_and_null_space(q)[1][0]
+    b12, b13, b23 = (psi0 @ bracket(alg, q[i], q[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    x = np.array([b23, -b13, b12]) @ q
+    x = x / norm(x)
+    if next(v for v in x.tolist() if not is_zero(v, 1.0)) < 0:
+        x = -x
+    # [x, v] is zero against |c| |x| |v|, its largest size (round-off near
+    # 1e-16); |x| = 1
+    cn = norm(alg.c)
     brackets = [b for v in p.basis
-                if not is_zero(norm(b := bracket(alg, x, v)), cx * norm(v))]
+                if not is_zero(norm(b := bracket(alg, x, v)), cn * norm(v))]
     if not brackets:
         # [p1, p] = 0 means p1 = p ∩ C(p)
         verdict = Dim3Verdict.NonStrictForAllMetrics
@@ -170,7 +174,7 @@ def dim3_report(alg: StructureConstants, p: Subspace) -> Dim3Report:
         verdict = Dim3Verdict.StrictForAllMetrics
     else:
         verdict = Dim3Verdict.MetricDependent
-    return Dim3Report(exists=True, p1=x, verdict=verdict)
+    return Dim3Report(p1=x, verdict=verdict)
 
 
 def classify_dim3(alg: StructureConstants, p: Subspace) -> Dim3Report:

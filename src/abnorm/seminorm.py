@@ -126,6 +126,8 @@ class Ellipse(SeminormBody):
         if not np.allclose(s, s.T, atol=BODY_RTOL * np.abs(s).max()) or np.any(np.linalg.eigvalsh(s) <= 0):
             raise BodyError("shape matrix must be symmetric positive definite")
         q = np.linalg.inv(s)
+        if not np.isfinite(q).all():  # a subnormal matrix inverts to inf or nan
+            raise BodyError("ellipse shape matrix out of numerical range")
         if float(c @ q @ c) >= 1.0 - BODY_RTOL:
             raise BodyError("invalid body: origin not strictly interior")
         c.setflags(write=False)

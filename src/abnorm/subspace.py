@@ -24,14 +24,6 @@ def _contains(space_rows, vector) -> bool:
     return is_zero(norm(v - q.T @ (q @ v)), norm(v))
 
 
-def intersect(rows_a, rows_b) -> np.ndarray:
-    """Orthonormal rows spanning span(A) ∩ span(B)."""
-    qa, qb = span(rows_a), span(rows_b)
-    # null space of [A^T | -B^T] glues coefficients of a common vector
-    ns = row_and_null_space(np.hstack([qa.T, -qb.T]))[1]
-    return span(ns[:, : len(qa)] @ qa)
-
-
 @dataclass(frozen=True)
 class Subspace:
     algebra: StructureConstants
@@ -223,11 +215,13 @@ def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2Typing
         raise SubspaceError("2D subspace expected")
     q = _typing_form(alg, family)
 
-    # from orthonormal rows of p, the smallest singular value of the
-    # projection is the sine of the angle between p and E4
-    p1 = row_and_null_space(p.orthonormal[:, :3])[0]
-    in_g3 = rank(np.vstack([p.basis, np.eye(DIM)[:3]])) == 3
-    if in_g3 or p1.shape[0] != 2:
+    # u: orthonormal rows of p; w: their E4-components, zero iff p ⊂ g3.
+    # The smallest singular value of the projection of u is the sine of the
+    # angle between p and E4
+    u = p.orthonormal
+    w = u[:, 3]
+    p1 = row_and_null_space(u[:, :3])[0]
+    if is_zero(norm(w), 1.0) or p1.shape[0] != 2:
         return SL2Typing(SL2SubspaceType.Degenerate)
 
     gram = p1 @ q @ p1.T
@@ -238,11 +232,9 @@ def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2Typing
     if family == "g3.7+g1" or np.all(eigs > 0):
         return SL2Typing(SL2SubspaceType.TypeI)
 
-    # indefinite restriction: refine by the causal type of s = p ∩ g3
-    s = intersect(p.basis, np.eye(DIM)[:3])
-    if s.shape[0] != 1:
-        return SL2Typing(SL2SubspaceType.Degenerate)
-    v = s[0][:3]
+    # indefinite restriction: refine by the causal type of the line
+    # p ∩ g3 = (w1 u0 - w0 u1) / |w|
+    v = (w[1] * u[0] - w[0] * u[1])[:3] / norm(w)
     qv = float(v @ q[:3, :3] @ v)
     if is_zero(qv, norm(q)):
         return SL2Typing(SL2SubspaceType.TypeIIc)

@@ -98,7 +98,8 @@ def test_classify_dim3_fixture(tmp_path, capsys):
     }))
     code, out, _ = run(capsys, "classify", "--config", str(cfg), "--expect", "nonstrict")
     assert code == 0
-    assert json.loads(out)["dim3"]["verdict"] == "non-strict for all metrics"
+    assert json.loads(out)["dim3"] == {"exists": True, "p1": [1.0, 0.0, 0.0, 0.0],
+                                       "verdict": "non-strict for all metrics"}
 
 
 def test_classify_non_generating_exits_4(tmp_path, capsys):
@@ -205,6 +206,7 @@ BAD_JOBS = {
     "huge_integer_radius": dict(GOOD_JOB, body={"disk": {"radius": 10 ** 400}}),
     "huge_integer_subspace": dict(GOOD_JOB, subspace=[[10 ** 400, 0, 0, 0], [0, 1, 0, 0]]),
     "huge_integer_alpha": dict(GOOD_JOB, algebra={"family": "g4.2", "alpha": 10 ** 400}),
+    "extra_alpha": dict(GOOD_JOB, algebra={"family": "g4.7", "alpha": 3}),
     "overflowing_brackets": dict(GOOD_JOB, algebra={"family": "g4.7"},
                                  subspace=[[1e110, 0, 0, 1e110], [0, 1e110, 1e110, 0]]),
 }
@@ -239,6 +241,40 @@ def test_classify_disk_radius_out_of_range_exits_2(tmp_path, capsys, radius):
         warnings.simplefilter("error")
         code, _, err = run(capsys, "classify", "--config", str(cfg))
     assert code == 2 and err == "error: disk radius out of numerical range\n"
+
+
+@pytest.mark.parametrize("body", [
+    {"ellipse": {"center": [0, 0], "matrix": [[1e-310, 0], [0, 1e-310]]}},
+    {"ellipse": {"center": [0, 0], "matrix": [[1e-320, 0], [0, 1e-320]]}},
+    {"disk": {"radius": 1e-155}},
+])
+def test_classify_subnormal_shape_matrix_exits_2(tmp_path, capsys, body):
+    # the inverse of a subnormal shape matrix is not finite
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algebra": {"family": "g4.7"}, "subspace": "known", "body": body}))
+    code, _, err = run(capsys, "classify", "--config", str(cfg))
+    assert code == 2 and err == "error: ellipse shape matrix out of numerical range\n"
+
+
+@pytest.mark.parametrize("body", [
+    {"ellipse": {"center": [0, 0], "matrix": [[1e-300, 0], [0, 1e-300]]}},
+    {"disk": {"radius": 1e-150}},
+])
+def test_classify_tiny_centred_ellipse_is_nonstrict(tmp_path, capsys, body):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algebra": {"family": "g4.7"}, "subspace": "known", "body": body}))
+    code, out, _ = run(capsys, "classify", "--config", str(cfg), "--expect", "nonstrict")
+    assert code == 0 and json.loads(out)["classification"]["consistent"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "g4.7", "--alpha", "3"], "g4.7 takes no parameter alpha"),
+    (["catalog", "show", "g4.7", "--alpha", "3"], "g4.7 takes no parameter alpha"),
+    (["catalog", "show", "g4.2", "--alpha", "2", "--beta", "1"], "g4.2 takes no parameter beta"),
+])
+def test_extra_catalog_parameter_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("family", ["g4.2", "g4.9"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from abnorm.catalog import AlgebraId, default_id, instantiate, known_generating_subspace
+from abnorm.catalog import FAMILIES, AlgebraId, default_id, instantiate, known_generating_subspace
 from abnorm.extremal import (
     Dim3Verdict,
     Reason,
@@ -15,7 +15,8 @@ from abnorm.extremal import (
 )
 from abnorm.lie import inner_automorphism
 from abnorm.seminorm import Disk, Polygon
-from abnorm.subspace import Subspace, SubspaceError, canonical_basis
+from abnorm.subspace import Subspace, SubspaceError, canonical_basis, generates, normalizer
+from abnorm.tolerances import RTOL
 
 E = np.eye(4)
 DISK = Disk((0, 0), 1.0)
@@ -93,18 +94,16 @@ def test_engel_dim3_nonstrict():
     alg = instantiate(AlgebraId("g4.1"))
     p = Subspace(alg, np.stack([E[0], E[2], E[3]]))
     rep = classify_dim3(alg, p)
-    assert rep.exists
     assert rep.verdict is Dim3Verdict.NonStrictForAllMetrics
-    assert np.allclose(np.abs(rep.p1), E[0], atol=1e-9)
+    assert np.array_equal(rep.p1, E[0])
 
 
 def test_g43_dim3_strict():
     alg = instantiate(AlgebraId("g4.3"))
     p = Subspace(alg, np.stack([E[0], E[2], E[3]]))
     rep = classify_dim3(alg, p)
-    assert rep.exists
     assert rep.verdict is Dim3Verdict.StrictForAllMetrics
-    assert np.allclose(np.abs(rep.p1), E[0], atol=1e-9)
+    assert np.array_equal(rep.p1, E[0])
 
 
 @pytest.mark.parametrize("fam, verdict", [
@@ -122,15 +121,27 @@ def test_dim3_invariant_under_inner_automorphisms(fam, verdict):
         assert classify_dim3(alg, p).verdict is verdict
 
 
-def test_dim3_no_extremal():
-    # generating 3D subspace whose normalizer meets it trivially
-    alg = instantiate(default_id("g3.7+g1"))
-    p = Subspace(alg, np.stack([E[0], E[1], E[2] + E[3]]))
-    rep = classify_dim3(alg, p)
-    if rep.exists:  # structure decides; assert the report is coherent
-        assert rep.verdict is not None
-    else:
-        assert rep.p1 is None and rep.verdict is None
+def test_dim3_p1_on_random_subspaces():
+    # p1 = p ∩ N(p) for random generating 3D subspaces of every family,
+    # checked against the SVD-based normalizer; mixing the spanners by an
+    # invertible matrix leaves p1, sign included, as it is
+    rng = np.random.default_rng(3)
+    for fam in FAMILIES:
+        alg = instantiate(default_id(fam))
+        for _ in range(3):
+            rows = rng.normal(size=(3, 4))
+            p = Subspace(alg, rows)
+            assert generates(alg, p), fam  # a generic 3D subspace generates
+            x = classify_dim3(alg, p).p1
+            assert math.isclose(np.linalg.norm(x), 1.0, rel_tol=1e-12), fam
+            q, n = p.orthonormal, normalizer(alg, p)
+            assert np.allclose(q.T @ (q @ x), x, atol=1e-12), fam
+            assert np.allclose(n.T @ (n @ x), x, atol=1e-12), fam
+            assert x[np.flatnonzero(np.abs(x) > RTOL)[0]] > 0, fam
+            mix = rng.normal(size=(3, 3))
+            assert abs(np.linalg.det(mix)) > 1e-3
+            mixed = classify_dim3(alg, Subspace(alg, mix @ rows)).p1
+            assert np.allclose(mixed, x, atol=1e-12), fam
 
 
 def test_dim3_requires_dimension():

@@ -12,7 +12,6 @@ from abnorm.subspace import (
     check_prop2,
     classify_sl2,
     generates,
-    intersect,
     normalizer,
 )
 
@@ -112,12 +111,6 @@ def test_normalizer_centralizer_nilpotent():
     c = centralizer(alg, p)
     assert c.shape[0] == 1
     assert np.allclose(np.abs(c[0]), E[0], atol=1e-9)
-
-
-def test_intersect():
-    got = intersect(np.stack([E[0], E[1]]), np.stack([E[1], E[2]]))
-    assert got.shape[0] == 1
-    assert np.allclose(np.abs(got[0]), E[1], atol=1e-12)
 
 
 @pytest.mark.parametrize(
