@@ -15,7 +15,6 @@ from .catalog import (
 from .extremal import (
     Dim3Verdict,
     Verdict,
-    abnormal_extremals,
     classify,
     classify_dim3,
     theorem3_dispatch,
@@ -35,7 +34,6 @@ __all__ = [
     "StructureConstants",
     "Subspace",
     "Verdict",
-    "abnormal_extremals",
     "automorphism_family",
     "axis_condition",
     "bracket",

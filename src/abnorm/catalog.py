@@ -2,11 +2,13 @@
 automorphism families and the known generating subspaces.
 
 The data lives in ``data/catalog.json`` (override with the ABNORM_CATALOG
-environment variable); this module parses it and exposes typed accessors.
+environment variable); this module checks it when it loads, compiles each
+expression once and exposes typed accessors.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from types import CodeType
 
 import numpy as np
 
@@ -35,12 +38,144 @@ class CatalogCorruptError(CatalogError):
     """The catalog data file is unreadable or structurally invalid."""
 
 
-def _eval(expr: str, env: dict) -> float:
+@dataclass(frozen=True)
+class _Expr:
+    """A catalog expression, checked and compiled, with its source text."""
+
+    text: str
+    code: CodeType
+
+
+def _eval(expr: _Expr, env: dict) -> float:
     try:
-        return eval(expr, {"__builtins__": {}}, dict(env))  # noqa: S307 - trusted data file
+        value = eval(expr.code, {"__builtins__": {}}, env)  # noqa: S307 - checked at load
     except OverflowError as exc:  # float ** raises where * would give inf
-        raise CatalogError(f"catalog expression {expr!r} overflows: "
+        raise CatalogError(f"catalog expression {expr.text!r} overflows: "
                            "parameters out of numerical range") from exc
+    except ZeroDivisionError as exc:
+        raise CatalogCorruptError(f"catalog expression {expr.text!r} divides by zero") from exc
+    try:
+        return float(value)
+    # the parameters are floats, so only the file's constants give an
+    # integer beyond the float range, or a complex power such as (-1) ** 0.5
+    except (OverflowError, TypeError) as exc:
+        raise CatalogCorruptError(f"catalog expression {expr.text!r} has no float value: "
+                                  f"{exc}") from exc
+
+
+#: the syntax of catalog expressions: numbers, names, arithmetic, comparisons
+#: and ``and``/``or``
+_SYNTAX = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.BinOp, ast.UnaryOp,
+           ast.Compare, ast.BoolOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
+           ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.And, ast.Or)
+_PARAMS = {"alpha", "beta"}
+_FREE = {f"a{i}" for i in range(1, 8)}
+_DISCRETE = {"sigma"}
+_FAMILY_KEYS = {"name", "params", "param_constraint", "constraint_text", "rows",
+                "automorphisms", "known_subspace"}
+
+
+def _expr(text, names) -> _Expr:
+    """``text`` compiled, after checking that it is an expression over
+    ``names`` in the catalog syntax."""
+    if not isinstance(text, str):
+        raise CatalogCorruptError(f"expression {text!r:.60} is not a string")
+    try:
+        tree = ast.parse(text, mode="eval")
+        code = compile(tree, "<catalog>", "eval")
+    # ValueError: a null byte; RecursionError and MemoryError: the parser's
+    # nesting limits
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise CatalogCorruptError(f"expression {text!r:.60} does not parse: {exc}") from None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id not in names:
+            raise CatalogCorruptError(f"expression {text!r:.60} reads the unknown name "
+                                      f"{node.id!r}")
+        if not isinstance(node, _SYNTAX) or (
+                isinstance(node, ast.Constant) and type(node.value) not in (int, float, bool)):
+            raise CatalogCorruptError(f"expression {text!r:.60} may not contain "
+                                      f"{type(node).__name__}")
+    return _Expr(text, code)
+
+
+def _list(x, n: int | None = None) -> list:
+    if not isinstance(x, list) or n is not None and len(x) != n:
+        raise CatalogCorruptError(f"expected a list of {n or 'any number of'} "
+                                  f"entries, got {x!r:.60}")
+    return x
+
+
+def _names(x, allowed: set) -> list:
+    if not set(_list(x)) <= allowed:
+        raise CatalogCorruptError(f"names {x!r:.60} not among {sorted(allowed)}")
+    return x
+
+
+def _index(k) -> int:
+    """A 1-based basis index, 1..4, of a bracket row."""
+    i = int(k) if isinstance(k, str) else k
+    if type(i) is not int or not 1 <= i <= 4:
+        raise CatalogCorruptError(f"basis index {k!r:.60} is not 1..4")
+    return i
+
+
+def _compile_family(raw) -> dict:
+    """The family entry with its structure checked and every expression
+    compiled."""
+    if not isinstance(raw, dict):
+        raise CatalogCorruptError(f"catalog family entry {raw!r:.60} is not an object")
+    name = raw.get("name")
+    try:
+        if set(raw) != _FAMILY_KEYS:
+            raise CatalogCorruptError(f"keys {sorted(set(raw) ^ _FAMILY_KEYS)} missing or "
+                                      "unknown")
+        if not isinstance(name, str) or not isinstance(raw["constraint_text"], str):
+            raise CatalogCorruptError("name and constraint_text must be strings")
+        params = _names(raw["params"], _PARAMS)
+        autos = []
+        for b in _list(raw["automorphisms"]):
+            discrete = b.get("discrete", {})
+            if not set(discrete) <= _DISCRETE or not all(
+                    _list(c) and all(type(v) in (int, float) for v in c)
+                    for c in discrete.values()):
+                raise CatalogCorruptError("discrete automorphism parameters must be "
+                                          "sigma with a list of numbers")
+            free = _names(b["free"], _FREE)
+            names = {*params, *free, *discrete}
+            autos.append({
+                "condition": _expr(b["condition"], params),
+                "free": free,
+                "discrete": discrete,
+                "nonzero": [_expr(e, names) for e in _list(b["nonzero"])],
+                "matrix": [[_expr(e, names) for e in _list(row, 4)]
+                           for row in _list(b["matrix"], 4)],
+            })
+        ks = raw["known_subspace"]
+        if ks is not None:
+            span = [[float(x) for x in _list(v, 4)] for v in _list(ks["span"], 2)]
+            if not np.isfinite(span).all():
+                raise CatalogCorruptError("known subspace must be finite")
+            ks = {"condition": _expr(ks["condition"], params), "span": span}
+        return {
+            "name": name,
+            "params": params,
+            "param_constraint": _expr(raw["param_constraint"], params),
+            "constraint_text": raw["constraint_text"],
+            "rows": [
+                {"condition": _expr(row["condition"], params),
+                 "brackets": [(_index(i), _index(j),
+                               {_index(k): _expr(e, params) for k, e in comps.items()})
+                              for i, j, comps in _list(row["brackets"])]}
+                for row in _list(raw["rows"])
+            ],
+            "automorphisms": autos,
+            "known_subspace": ks,
+        }
+    except CatalogCorruptError as exc:
+        raise CatalogCorruptError(f"catalog family {name!r:.40}: {exc}") from None
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CatalogCorruptError(f"catalog family {name!r:.40}: malformed entry: "
+                                  f"{exc!r:.80}") from exc
 
 
 def _normalize_family(name: str) -> str:
@@ -113,7 +248,7 @@ class AutomorphismFamily:
                 raise CatalogError(f"{name} must be one of {choices}")
         for expr in spec["nonzero"]:
             if _eval(expr, env) == 0:
-                raise CatalogError(f"constraint {expr} != 0 violated")
+                raise CatalogError(f"constraint {expr.text} != 0 violated")
         m = np.array(
             [[_eval(entry, env) for entry in row] for row in spec["matrix"]]
         )
@@ -150,10 +285,10 @@ def _load_raw_cached(path: str | None) -> dict:
         else:
             with open(path) as fh:
                 text = fh.read()
-        data = json.loads(text)
-        by_name = {fam["name"]: fam for fam in data["families"]}
+        families = _list(json.loads(text)["families"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CatalogCorruptError(f"cannot load catalog data: {exc}") from exc
+    by_name = {fam["name"]: fam for fam in map(_compile_family, families)}
     missing = set(FAMILIES) - set(by_name)
     if missing:
         raise CatalogCorruptError(f"catalog data missing families: {sorted(missing)}")
@@ -183,11 +318,11 @@ def instantiate(id: AlgebraId) -> StructureConstants:
     for row in entry["rows"]:
         if _eval(row["condition"], env):
             brackets = [
-                (i, j, {int(k): _eval(expr, env) for k, expr in comps.items()})
+                (i, j, {k: _eval(expr, env) for k, expr in comps.items()})
                 for i, j, comps in row["brackets"]
             ]
             return StructureConstants.from_brackets(brackets)
-    raise CatalogCorruptError(f"no bracket row matches parameters of {id}")
+    raise CatalogCorruptError(f"no catalog bracket row matches parameters of {id}")
 
 
 def automorphism_family(id: AlgebraId) -> AutomorphismFamily:
@@ -206,7 +341,7 @@ def known_generating_subspace(id: AlgebraId) -> KnownSubspace | None:
     ks = entry["known_subspace"]
     if ks is None or not _eval(ks["condition"], id.params):
         return None
-    span = [np.array([float(x) for x in vec]) for vec in ks["span"]]
+    span = [np.array(vec) for vec in ks["span"]]
     return KnownSubspace(span=span)
 
 

@@ -202,11 +202,12 @@ def _classify_report(cfg: dict) -> dict:
         "e3": _vec(basis.e3), "e4": _vec(basis.e4),
         "c23": _vec(basis.c23),
     }
-    report["extremals"] = [
-        {"s": d.s, "velocity": _vec(d.velocity), "label": d.label}
-        for d in extremal.descriptors(basis, body)
-    ]
     disp = extremal.dispatch(alg_id, p, body, extremal.classify_basis(basis, body))
+    report["extremals"] = [
+        {"s": d.s, "velocity": _vec(d.velocity),
+         "label": "one-parameter subgroup exp(t * velocity)"}
+        for d in disp.report.directions.values()
+    ]
     report["classification"] = {
         "directions": {
             str(s): {

@@ -1,7 +1,10 @@
-"""Abnormal extremal descriptors and the strict/non-strict classification.
+"""The abnormal extremals and their strict/non-strict classification.
 
-The 2D case uses the canonical structure constants plus the axis condition
-on the control body; the 3D case is purely algebraic (the closed-form line
+A generating 2D subspace has two abnormal extremals, the one-parameter
+subgroups exp(t u2 e2) with u2 = s / F(0, s), s = +/-1; one
+``DirectionReport`` per extremal carries its velocity and its verdict under
+the criterion on the canonical structure constants and the axis condition
+on the control body.  The 3D case is purely algebraic (the closed-form line
 p1 and its brackets with p).  The summary dispatch cross-checks the
 per-family summary statement against the criterion and the ODE witness
 oracle.
@@ -44,20 +47,20 @@ class Reason(Enum):
 
 
 @dataclass(frozen=True)
-class ExtremalDescriptor:
-    s: int
-    velocity: np.ndarray           # catalog frame
-    velocity_canonical: np.ndarray  # coordinates in (e1, e2)
-    label: str
-
-
-@dataclass(frozen=True)
 class DirectionReport:
+    """The abnormal extremal exp(t * velocity) of direction s and its verdict."""
+
     s: int
+    velocity: np.ndarray  # u2 e2 in the catalog frame, u2 = s / F(0, s)
     verdict: Verdict
     reason: Reason
     witness: dict | None
     pmp_max: int  # 1 when a normal witness certifies non-strictness, else 0
+
+
+def _both(non_strict) -> Verdict:
+    """The pair of directions is non-strict iff both directions are."""
+    return Verdict.NonStrict if all(non_strict) else Verdict.Strict
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,7 @@ class StrictnessReport:
 
     @property
     def combined(self) -> Verdict:
-        if all(d.verdict is Verdict.NonStrict for d in self.directions.values()):
-            return Verdict.NonStrict
-        return Verdict.Strict
+        return _both(d.verdict is Verdict.NonStrict for d in self.directions.values())
 
 
 def _require_generating(alg: StructureConstants, p: Subspace) -> None:
@@ -77,48 +78,24 @@ def _require_generating(alg: StructureConstants, p: Subspace) -> None:
         raise SubspaceError("subspace does not generate the algebra")
 
 
-def descriptors(basis: CanonicalBasis, body: SeminormBody) -> list:
-    """The two one-parameter subgroup descriptors, s = +/-1, of the
-    canonical basis of a generating 2D subspace."""
-    out = []
-    for s in (1, -1):
-        f = body.gauge((0.0, float(s)))
-        vel_canon = np.array([0.0, s / f])
-        vel = basis.to_catalog_frame(vel_canon)
-        out.append(
-            ExtremalDescriptor(
-                s=s,
-                velocity=vel,
-                velocity_canonical=vel_canon,
-                label="one-parameter subgroup exp(t * velocity)",
-            )
-        )
-    return out
-
-
-def abnormal_extremals(alg: StructureConstants, p: Subspace, body: SeminormBody):
-    """The two one-parameter subgroup descriptors, s = +/-1."""
-    _require_generating(alg, p)
-    return descriptors(canonical_basis(alg, p), body)
-
-
 def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> DirectionReport:
+    """The criterion: non-strict iff a witness constant k = psi1 exists."""
     c1, c2, c3 = basis.constants
-    f = body.gauge((0.0, float(s)))
-    u2 = s / f
+    u2 = s / body.gauge((0.0, float(s)))
     if c1 == 0.0 and c2 == 0.0:
         lo, hi = body.level_interval(s)
-        k = min(max(0.0, lo), hi)
-        witness = {"psi1": k, "psi2": 1.0 / u2, "psi3": 0.0,
-                   "psi4": f"exp({c3 * u2:g} * t)"}
-        return DirectionReport(s, Verdict.NonStrict, Reason.C1C2Zero, witness, 1)
-    if c1 != 0.0:
-        if axis_condition(body, s):
-            witness = {"psi1": 0.0, "psi2": 1.0 / u2, "psi3": 0.0,
-                       "psi4": f"exp({c3 * u2:g} * t)"}
-            return DirectionReport(s, Verdict.NonStrict, Reason.AxisConditionHolds, witness, 1)
-        return DirectionReport(s, Verdict.Strict, Reason.AxisConditionFails, None, 0)
-    return DirectionReport(s, Verdict.Strict, Reason.C1ZeroC2Nonzero, None, 0)
+        reason, k = Reason.C1C2Zero, min(max(0.0, lo), hi)
+    elif c1 == 0.0:
+        reason, k = Reason.C1ZeroC2Nonzero, None
+    elif axis_condition(body, s):
+        reason, k = Reason.AxisConditionHolds, 0.0
+    else:
+        reason, k = Reason.AxisConditionFails, None
+    velocity = basis.to_catalog_frame((0.0, u2))
+    if k is None:
+        return DirectionReport(s, velocity, Verdict.Strict, reason, None, 0)
+    witness = {"psi1": k, "psi2": 1.0 / u2, "psi3": 0.0, "psi4": f"exp({c3 * u2:g} * t)"}
+    return DirectionReport(s, velocity, Verdict.NonStrict, reason, witness, 1)
 
 
 def classify_basis(basis: CanonicalBasis, body: SeminormBody) -> StrictnessReport:
@@ -185,13 +162,15 @@ def classify_dim3(alg: StructureConstants, p: Subspace) -> Dim3Report:
     return dim3_report(alg, p)
 
 
-_CASE_1_FAMILIES = {
+# summary case of each family; ``dispatch`` makes g4.8 at alpha = 0 case 1.1
+# and types g3.6+g1 by its sl(2) type.  g3.1+g1 and g3.3+g1 have none ("-")
+_SUMMARY_CASE = {
     "g3.2+g1": "1.3", "g3.4+g1": "1.3", "g3.5+g1": "1.3",
     "g4.1": "1.4", "g4.2": "1.4", "g4.3": "1.4",
     "g4.4": "1.4", "g4.5": "1.4", "g4.6": "1.4",
     "g4.10": "1.2",
+    "g3.7+g1": "2", "g4.7": "2", "g4.8": "2", "g4.9": "2",
 }
-_CASE_2_FAMILIES = {"g3.7+g1", "g4.7", "g4.9"}
 
 
 @dataclass(frozen=True)
@@ -216,35 +195,29 @@ def dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody,
     when the axis condition holds; such instances are flagged, never
     silently classified.
     """
-    oracle = Verdict.NonStrict if all(
-        adjoint.witness_search(rep.basis, body, s) is not None for s in (1, -1)
-    ) else Verdict.Strict
+    oracle = _both(adjoint.witness_search(rep.basis, body, s) is not None for s in (1, -1))
 
     fam = alg_id.family
     sl2_type = None
-    if fam in _CASE_1_FAMILIES:
-        case, summary = _CASE_1_FAMILIES[fam], Verdict.NonStrict
-    elif fam == "g4.8":
-        if alg_id.alpha == 0:
-            case, summary = "1.1", Verdict.NonStrict
-        else:
-            case, summary = "2", None
-    elif fam in _CASE_2_FAMILIES:
-        case, summary = "2", None
-    elif fam == "g3.6+g1":
+    if fam == "g3.6+g1":
         typing = classify_sl2(p.algebra, p, fam)
-        sl2_type = typing.tag.value
-        if typing.tag is SL2SubspaceType.TypeI:
-            case, summary = "2", None
-        else:
-            case, summary = "3", Verdict.Strict
+        sl2_type = typing.value
+        case = "2" if typing is SL2SubspaceType.TypeI else "3"
+    elif fam == "g4.8" and alg_id.alpha == 0:
+        case = "1.1"
     else:
-        case, summary = "-", None
+        case = _SUMMARY_CASE.get(fam, "-")
 
-    if case == "2":
-        # conditional case: summary verdict equals the axis condition
-        both_axis = all(axis_condition(body, s) for s in (1, -1))
-        summary = Verdict.NonStrict if both_axis else Verdict.Strict
+    # 1.x non-strict, 3 strict, 2 conditional: non-strict iff the axis
+    # condition holds in both directions
+    if case.startswith("1."):
+        summary = Verdict.NonStrict
+    elif case == "3":
+        summary = Verdict.Strict
+    elif case == "2":
+        summary = _both(axis_condition(body, s) for s in (1, -1))
+    else:
+        summary = None
 
     criterion = rep.combined
     consistent = (summary is None or summary is criterion) and criterion is oracle

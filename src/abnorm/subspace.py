@@ -188,11 +188,6 @@ class SL2SubspaceType(Enum):
     Degenerate = "degenerate"
 
 
-@dataclass(frozen=True)
-class SL2Typing:
-    tag: SL2SubspaceType
-
-
 # the typing form Q on the 3D part reproduces signature (+,+,-) for the
 # sl(2,R) summand and (+,+,+) for the so(3) summand; see the decomposable
 # Killing matrices diag(±2, ±2, -2, 0)
@@ -201,7 +196,7 @@ def _typing_form(alg: StructureConstants, family: str) -> np.ndarray:
     return 0.5 * k if family == "g3.6+g1" else -0.5 * k
 
 
-def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2Typing:
+def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2SubspaceType:
     """Type a 2D subspace of g3.6+g1 or g3.7+g1.
 
     Conditions checked: the projection p1 onto the 3D part differs from p,
@@ -222,22 +217,22 @@ def classify_sl2(alg: StructureConstants, p: Subspace, family: str) -> SL2Typing
     w = u[:, 3]
     p1 = row_and_null_space(u[:, :3])[0]
     if is_zero(norm(w), 1.0) or p1.shape[0] != 2:
-        return SL2Typing(SL2SubspaceType.Degenerate)
+        return SL2SubspaceType.Degenerate
 
     gram = p1 @ q @ p1.T
     eigs = np.linalg.eigvalsh(gram)
     if is_zero(min(abs(eigs)), norm(q)):
-        return SL2Typing(SL2SubspaceType.Degenerate)
+        return SL2SubspaceType.Degenerate
 
     if family == "g3.7+g1" or np.all(eigs > 0):
-        return SL2Typing(SL2SubspaceType.TypeI)
+        return SL2SubspaceType.TypeI
 
     # indefinite restriction: refine by the causal type of the line
     # p ∩ g3 = (w1 u0 - w0 u1) / |w|
     v = (w[1] * u[0] - w[0] * u[1])[:3] / norm(w)
     qv = float(v @ q[:3, :3] @ v)
     if is_zero(qv, norm(q)):
-        return SL2Typing(SL2SubspaceType.TypeIIc)
+        return SL2SubspaceType.TypeIIc
     if qv > 0:
-        return SL2Typing(SL2SubspaceType.TypeIIa)
-    return SL2Typing(SL2SubspaceType.TypeIIb)
+        return SL2SubspaceType.TypeIIa
+    return SL2SubspaceType.TypeIIb

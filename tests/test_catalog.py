@@ -159,6 +159,13 @@ def test_automorphism_families_verified():
             assert verify_automorphism(alg, fam.sample(rng)), str(aid)
 
 
+def test_automorphism_matrix_rejects_bad_values():
+    with pytest.raises(CatalogError, match="sigma must be one of"):
+        automorphism_family(default_id("g4.10")).matrix(0, a1=1.0, sigma=2.0)
+    with pytest.raises(CatalogError, match="constraint a1 != 0 violated"):
+        automorphism_family(default_id("g4.7")).matrix(0, a1=0.0)
+
+
 def test_no_automorphism_table_entries():
     for aid in [default_id("g3.1+g1"), default_id("g3.7+g1"),
                 AlgebraId("g4.2", alpha=1.0), AlgebraId("g4.8", alpha=1.0)]:

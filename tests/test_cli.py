@@ -18,7 +18,7 @@ from abnorm import catalog, cli, subspace
 from abnorm.adjoint import integrate
 from abnorm.catalog import default_id, instantiate, known_generating_subspace, list_families
 from abnorm.cli import main
-from abnorm.extremal import abnormal_extremals, classify, theorem3_dispatch
+from abnorm.extremal import classify, theorem3_dispatch
 from abnorm.seminorm import Disk, Polygon, body_to_config
 from abnorm.subspace import Subspace, canonical_basis
 
@@ -43,11 +43,15 @@ def test_catalog_show(capsys):
     entries = {(e["i"], e["j"]): e["value"] for e in data["brackets"]}
     assert entries[(2, 3)] == [1.0, 0.0, 0.0, 0.0]
     assert data["known_subspace"] is not None
+    code, out, _ = run(capsys, "catalog", "show", "g3.1+g1")
+    assert code == 0 and json.loads(out)["automorphism_branches"] == 0
 
 
 def test_catalog_show_unknown_exits_2(capsys):
-    code, _, err = run(capsys, "catalog", "show", "g9.9")
-    assert code == 2 and "error" in err
+    # g9.9 is not a family name; g4.11 is one, but not in the catalog
+    for family in ("g9.9", "g4.11"):
+        code, _, err = run(capsys, "catalog", "show", family)
+        assert code == 2 and "error" in err and "unknown family" in err
 
 
 def test_verify_single(capsys):
@@ -110,6 +114,11 @@ def test_classify_non_generating_exits_4(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "classify", "--config", str(cfg))
     assert code == 4 and "generates" in err
+    code, _, err = run(capsys, "ode", "--config", str(cfg))
+    assert code == 4 and err == "subspace does not generate\n"
+    cfg.write_text(json.dumps({"algebra": {"family": "g3.1+g1"}, "subspace": "known"}))
+    code, _, err = run(capsys, "classify", "--config", str(cfg))
+    assert code == 4 and "no known generating subspace for g3.1+g1" in err
 
 
 def test_classify_deterministic_output(tmp_path, capsys):
@@ -121,12 +130,43 @@ def test_classify_deterministic_output(tmp_path, capsys):
     assert first == second
 
 
-def test_corrupt_catalog_exits_3(tmp_path, capsys, monkeypatch):
+def _set_g47_coefficient(text):
+    return lambda fam: fam["rows"][0]["brackets"][0][2].update({"1": text})
+
+
+#: edits of the shipped catalog's g4.7 entry; None writes "[]" instead
+CATALOG_EDITS = {
+    "not_a_catalog": None,
+    "rows_deleted": lambda fam: fam.pop("rows"),
+    "coefficient_syntax_error": _set_g47_coefficient("alpha +"),
+    "bracket_index_9": lambda fam: fam["rows"][0]["brackets"][0].__setitem__(0, 9),
+    "coefficient_import": _set_g47_coefficient("__import__"),
+    "coefficient_attribute": _set_g47_coefficient("().__class__"),
+    "coefficient_parameter_not_taken": _set_g47_coefficient("beta"),
+    "coefficient_division_by_zero": _set_g47_coefficient("1 / 0"),
+    "coefficient_complex": _set_g47_coefficient("(-1) ** 0.5"),
+    "coefficient_beyond_float": _set_g47_coefficient("10 ** 400"),
+    "known_subspace_nan": lambda fam: fam["known_subspace"]["span"][0].__setitem__(0, "nan"),
+    "row_condition_false": lambda fam: fam["rows"][0].update(condition="False"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_EDITS))
+def test_corrupt_catalog_exits_3(tmp_path, capsys, monkeypatch, name):
     bad = tmp_path / "bad.json"
-    bad.write_text("[]")
+    if CATALOG_EDITS[name] is None:
+        bad.write_text("[]")
+    else:
+        data = json.loads((Path(catalog.__file__).parent / "data" / "catalog.json").read_text())
+        CATALOG_EDITS[name](next(f for f in data["families"] if f["name"] == "g4.7"))
+        bad.write_text(json.dumps(data))
     monkeypatch.setenv("ABNORM_CATALOG", str(bad))
-    code, _, err = run(capsys, "catalog", "show", "g4.1")
-    assert code == 3 and "catalog" in err
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"jobs": [GOOD_JOB, dict(GOOD_JOB, algebra="g4.7")]}))
+    for argv in (["catalog", "show", "g4.7"], ["sweep", "--config", str(sweep)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "catalog" in err, (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_ode_csv_dump(tmp_path, capsys):
@@ -308,6 +348,7 @@ BAD_INVOCATIONS = {
     "catalog_list_unwritable_out": ["catalog", "list", "--out", "{missing}"],
     "catalog_show_without_id": ["catalog", "show"],
     "verify_overflowing_alpha": ["verify", "g4.9", "--alpha", "1e200"],
+    "sweep_without_jobs": ["sweep", "--config", "{cfg}"],
 }
 
 
@@ -543,12 +584,12 @@ def test_classify_report_matches_public_functions(family):
             "subspace": "known", "body": body_to_config(body)})
         for key in ("e1", "e2", "e3", "e4", "c23"):
             _assert_close(rep["canonical"][key], getattr(basis, key))
-        descs = abnormal_extremals(alg, p, body)
+        crit = classify(alg, p, body)
+        descs = crit.directions.values()
         assert [(e["s"], e["label"]) for e in rep["extremals"]] == [
-            (d.s, d.label) for d in descs]
+            (d.s, "one-parameter subgroup exp(t * velocity)") for d in descs]
         for e, d in zip(rep["extremals"], descs):
             _assert_close(e["velocity"], d.velocity)
-        crit = classify(alg, p, body)
         disp = theorem3_dispatch(aid, p, body)
         got = rep["classification"]
         for s, d in crit.directions.items():

@@ -8,7 +8,6 @@ from abnorm.extremal import (
     Dim3Verdict,
     Reason,
     Verdict,
-    abnormal_extremals,
     classify,
     classify_dim3,
     theorem3_dispatch,
@@ -34,28 +33,25 @@ def known(fam, **kw):
 
 def test_extremal_descriptors_unit_disk():
     _, alg, p = known("g4.1")
-    descs = abnormal_extremals(alg, p, DISK)
-    assert [d.s for d in descs] == [1, -1]
+    descs = classify(alg, p, DISK).directions
+    assert list(descs) == [1, -1]
     b = canonical_basis(alg, p)
-    for d in descs:
+    for s, d in descs.items():
+        assert d.s == s
         assert np.allclose(d.velocity, d.s * b.e2)
-        assert np.allclose(d.velocity_canonical, [0.0, d.s])
 
 
 def test_extremal_descriptors_shifted_disk():
     # gauge of e2 is 2/sqrt(3), so the velocity is scaled by sqrt(3)/2
     _, alg, p = known("g4.1")
-    descs = abnormal_extremals(alg, p, SHIFTED)
+    descs = classify(alg, p, SHIFTED).directions
     b = canonical_basis(alg, p)
-    plus = [d for d in descs if d.s == 1][0]
-    assert np.allclose(plus.velocity, (math.sqrt(3) / 2) * b.e2, atol=1e-12)
+    assert np.allclose(descs[1].velocity, (math.sqrt(3) / 2) * b.e2, atol=1e-12)
 
 
 def test_non_generating_subspace_rejected():
     alg = instantiate(AlgebraId("g4.1"))
     p = Subspace(alg, np.stack([E[0], E[1]]))
-    with pytest.raises(SubspaceError):
-        abnormal_extremals(alg, p, DISK)
     with pytest.raises(SubspaceError):
         classify(alg, p, DISK)
 

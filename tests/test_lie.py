@@ -37,6 +37,12 @@ def test_non_antisymmetric_rejected():
     c[0, 1, 2] = 1.0  # missing the mirrored entry
     with pytest.raises(LieError):
         StructureConstants(c)
+    with pytest.raises(LieError, match="4x4x4"):
+        StructureConstants(np.zeros((3, 3, 3)))
+    c = np.zeros((4, 4, 4))
+    c[0, 1, 2], c[1, 0, 2] = np.nan, np.nan
+    with pytest.raises(LieError, match="finite"):
+        StructureConstants(c)
 
 
 def test_ad_matrix_matches_bracket():

@@ -30,6 +30,8 @@ def test_polygon_validation():
         Polygon([[1, 0], [0, 1], [1, 1]])  # origin outside
     with pytest.raises(BodyError):
         Polygon([[1, -1], [-1, 1], [1, 1], [-1, -1]])  # not convex/ccw
+    with pytest.raises(BodyError, match="degenerate polygon edge"):
+        Polygon([[1, -1], [1, -1], [1, 1], [-1, 1], [-1, -1]])  # repeated vertex
 
 
 def test_square_gauge_support():
@@ -42,6 +44,7 @@ def test_square_gauge_support():
 
 def test_disk_gauge_support():
     assert DISK.gauge((3, 4)) == pytest.approx(5.0)
+    assert DISK.gauge((0, 0)) == 0.0
     assert DISK.support((0.6, -0.8)) == pytest.approx(1.0)
     assert SHIFTED.gauge((0, 1)) == pytest.approx(2.0 / math.sqrt(3.0))
     assert SHIFTED.support((0, 1)) == pytest.approx(1.0)
@@ -138,6 +141,11 @@ def test_symmetric_body_axis_condition_symmetric():
         assert axis_condition(body, 1) == axis_condition(body, -1)
 
 
+def test_axis_condition_needs_a_direction():
+    with pytest.raises(BodyError, match="direction"):
+        axis_condition(DISK, 2)
+
+
 def test_centered_ellipse_axis_condition_and_shear():
     e = Ellipse((0, 0), np.diag([4.0, 0.25]))
     assert axis_condition(e, 1) and axis_condition(e, -1)
@@ -195,6 +203,8 @@ def test_config_validation():
         body_from_config({"blob": 1})
     with pytest.raises(BodyError):
         body_from_config({"disk": {"radius": -1}})
+    with pytest.raises(BodyError, match="unknown body type"):
+        body_to_config(object())
 
 
 @pytest.mark.parametrize("cfg", [
@@ -208,6 +218,8 @@ def test_config_validation():
     {"disk": 1.0},
     {"polygon": "abc"},
     {"polygon": [[1, 0], [0, 1], [-1]]},
+    {"ellipse": {"center": [0, 0], "matrix": [[1, 0], [0, -1]]}},  # not SPD
+    {"ellipse": {"center": [2, 0], "matrix": [[1, 0], [0, 1]]}},  # origin outside
 ])
 def test_malformed_config_raises_body_error(cfg):
     with pytest.raises(BodyError):

@@ -128,13 +128,25 @@ def test_normalizer_centralizer_nilpotent():
 def test_sl2_typing(rows, tag):
     alg = instantiate(default_id("g3.6+g1"))
     p = Subspace(alg, np.stack(rows))
-    assert classify_sl2(alg, p, "g3.6+g1").tag is tag
+    assert classify_sl2(alg, p, "g3.6+g1") is tag
 
 
 def test_sl2_so3_always_type_one():
     alg = instantiate(default_id("g3.7+g1"))
     p = Subspace(alg, np.stack([E[0], E[1] + E[3]]))
-    assert classify_sl2(alg, p, "g3.7+g1").tag is SL2SubspaceType.TypeI
+    assert classify_sl2(alg, p, "g3.7+g1") is SL2SubspaceType.TypeI
+
+
+def test_wrong_dimension_or_family_rejected():
+    alg, p = known("g4.7")
+    p3 = Subspace(alg, E[:3])
+    with pytest.raises(SubspaceError, match="2D"):
+        canonical_basis(alg, p3)
+    with pytest.raises(SubspaceError, match="g3.6"):
+        classify_sl2(alg, p, "g4.7")
+    alg = instantiate(default_id("g3.6+g1"))
+    with pytest.raises(SubspaceError, match="2D"):
+        classify_sl2(alg, Subspace(alg, E[:3]), "g3.6+g1")
 
 
 def test_canonical_constants_invariant_under_inner_automorphisms():

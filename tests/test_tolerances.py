@@ -135,7 +135,7 @@ def test_sl2_typing_invariant_under_per_row_spanner_scaling(tag):
     for i in range(2):
         for k in EXPONENTS:
             scaled = row_scaled(rows, i, k)
-            assert classify_sl2(alg, Subspace(alg, scaled), "g3.6+g1").tag.value == tag, (i, k)
+            assert classify_sl2(alg, Subspace(alg, scaled), "g3.6+g1").value == tag, (i, k)
             for name, body in BODIES.items():
                 assert dispatch_signature(aid, alg, scaled, body) == want[name], (i, k, name)
 
