@@ -56,9 +56,9 @@ def _eval(expr: _Expr, env: dict) -> float:
         raise CatalogCorruptError(f"catalog expression {expr.text!r} divides by zero") from exc
     try:
         return float(value)
-    # the parameters are floats, so only the file's constants give an
-    # integer beyond the float range, or a complex power such as (-1) ** 0.5
-    except (OverflowError, TypeError) as exc:
+    # the parameters are floats, so only the file's integer constants give an
+    # integer beyond the float range
+    except OverflowError as exc:
         raise CatalogCorruptError(f"catalog expression {expr.text!r} has no float value: "
                                   f"{exc}") from exc
 
@@ -95,6 +95,12 @@ def _expr(text, names) -> _Expr:
                 isinstance(node, ast.Constant) and type(node.value) not in (int, float, bool)):
             raise CatalogCorruptError(f"expression {text!r:.60} may not contain "
                                       f"{type(node).__name__}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not (
+                isinstance(node.left, ast.Name) and isinstance(node.right, ast.Constant)
+                and type(node.right.value) is int and 0 <= node.right.value <= 4):
+            # a bounded power evaluates at once; 9 ** 999999999 would run for minutes
+            raise CatalogCorruptError(f"expression {text!r:.60} has a power that is not "
+                                      "a name to an integer 0..4")
     return _Expr(text, code)
 
 

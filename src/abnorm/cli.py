@@ -8,6 +8,7 @@ configured subspace does not generate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -189,12 +190,12 @@ def _classify_report(cfg: dict) -> dict:
     }
     if not gen:
         raise NonGeneratingError(json.dumps(report, sort_keys=True))
+    body = body_from_config(cfg.get("body", DEFAULT_BODY))
     if p.dim == 3:
         d3 = extremal.dim3_report(alg, p)
         # a generating 3D subspace always has its abnormal line p1
         report["dim3"] = {"exists": True, "p1": _vec(d3.p1), "verdict": d3.verdict.value}
         return report
-    body = body_from_config(cfg.get("body", DEFAULT_BODY))
     report["config"]["body"] = body_to_config(body)
     basis = canonical_basis(alg, p)
     report["canonical"] = {
@@ -295,6 +296,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# built once per process: parse_args fills a fresh Namespace each call, and
+# argparse reads the output streams and terminal width only when it prints
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="abnorm")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from abnorm import catalog
 from abnorm.catalog import (
     AlgebraId,
     CatalogCorruptError,
@@ -194,6 +195,20 @@ def test_corrupt_catalog_file(tmp_path, monkeypatch):
     monkeypatch.setenv("ABNORM_CATALOG", str(bad))
     with pytest.raises(CatalogCorruptError):
         instantiate(AlgebraId("g4.1"))
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("alpha**2", True), ("alpha**0", True), ("alpha**4", True), ("-alpha**2", True),
+    ("alpha**5", False), ("alpha**-1", False), ("alpha**2.0", False), ("alpha**True", False),
+    ("(alpha+1)**2", False), ("2**2", False), ("alpha**alpha", False),
+    ("9**999999999", False),  # refused before it runs: it would evaluate for minutes
+])
+def test_expression_powers_are_bounded(text, ok):
+    if ok:
+        catalog._expr(text, {"alpha"})
+    else:
+        with pytest.raises(CatalogCorruptError, match="power"):
+            catalog._expr(text, {"alpha"})
 
 
 def test_catalog_missing_family(tmp_path, monkeypatch):

@@ -134,6 +134,10 @@ def _set_g47_coefficient(text):
     return lambda fam: fam["rows"][0]["brackets"][0][2].update({"1": text})
 
 
+def _set_g47_automorphism_entry(text):
+    return lambda fam: fam["automorphisms"][0]["matrix"][0].__setitem__(0, text)
+
+
 #: edits of the shipped catalog's g4.7 entry; None writes "[]" instead
 CATALOG_EDITS = {
     "not_a_catalog": None,
@@ -146,6 +150,10 @@ CATALOG_EDITS = {
     "coefficient_division_by_zero": _set_g47_coefficient("1 / 0"),
     "coefficient_complex": _set_g47_coefficient("(-1) ** 0.5"),
     "coefficient_beyond_float": _set_g47_coefficient("10 ** 400"),
+    "coefficient_literal_beyond_float": _set_g47_coefficient("1" + "0" * 400),
+    # powers that evaluate at once, but that the load-time bound refuses
+    "automorphism_power_5": _set_g47_automorphism_entry("a1**5"),
+    "automorphism_power_of_a_sum": _set_g47_automorphism_entry("(a1+1)**2"),
     "known_subspace_nan": lambda fam: fam["known_subspace"]["span"][0].__setitem__(0, "nan"),
     "row_condition_false": lambda fam: fam["rows"][0].update(condition="False"),
 }
@@ -249,6 +257,8 @@ BAD_JOBS = {
     "extra_alpha": dict(GOOD_JOB, algebra={"family": "g4.7", "alpha": 3}),
     "overflowing_brackets": dict(GOOD_JOB, algebra={"family": "g4.7"},
                                  subspace=[[1e110, 0, 0, 1e110], [0, 1e110, 1e110, 0]]),
+    "dim3_body_does_not_parse": {"algebra": "g4.1", "body": {"polygon": "nonsense"},
+                                 "subspace": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
 }
 
 
@@ -457,6 +467,53 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     assert json.loads(res.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
     assert json.loads((tmp_path / "v.json").read_text())["pass"]
     assert all("report" in r for r in json.loads((tmp_path / "s.json").read_text())["results"])
+
+
+def test_import_leaves_out_the_cli():
+    # the parser is built on the first main call, not when abnorm is imported
+    src = str(Path(abnorm.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, abnorm; "
+         "print(sorted({'abnorm.cli', 'argparse'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert res.stdout.strip() == "[]"
+
+
+def test_parser_is_built_once_and_reuse_changes_nothing(tmp_path, capsys, monkeypatch):
+    job, sweep, out = tmp_path / "job.json", tmp_path / "sweep.json", tmp_path / "out"
+    job.write_text(json.dumps(GOOD_JOB))
+    sweep.write_text(json.dumps({"jobs": [GOOD_JOB, dict(GOOD_JOB, algebra={"family": "g4.7"})]}))
+    calls = [
+        ["classify", "--config", job, "--out", out],
+        ["classify"],
+        ["classify", "--config", job, "--expect", "maybe"],
+        ["--help"],
+        ["ode", "--config", job, "--psi0", "-0.5,0.5,0.5,0.5", "-T", "0.01", "--out", out],
+        ["ode", "--config", job, "--psi", "-.5,.5,.5,.5", "-T", "0.01"],
+        ["catalog", "show", "g4.7"],
+        ["verify", "g4.7"],
+        ["sweep", "--config", sweep, "--out", out],
+        ["classify", "--config", job, "--expect", "nonstrict"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code, stdout, stderr = run(capsys, *map(str, argv))
+            results.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        return results
+
+    parser = cli.build_parser()
+    built = cli.build_parser.cache_info().misses
+    reused = run_all()
+    assert cli.build_parser() is parser and cli.build_parser.cache_info().misses == built
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert reused == run_all()
+    assert [r[0] for r in reused] == [0, 2, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert "usage: abnorm classify" in reused[1][2] and "usage: abnorm" in reused[3][1]
+    assert reused[0][3] is not None and reused[4][3] is not None and reused[8][3] is not None
 
 
 def test_catalog_show_huge_alpha_exits_0(capsys):
