@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -28,7 +29,7 @@ from .catalog import (
     verify_automorphism,
 )
 from .lie import jacobi_defect
-from .seminorm import body_from_config, body_to_config
+from .seminorm import body_from_config, body_to_config, config_array, is_number
 from .subspace import Subspace, canonical_basis, check_prop2, generates
 from .tolerances import JACOBI_TOL, PROP2_TOL
 
@@ -50,7 +51,7 @@ DEFAULT_BODY = {"disk": {"radius": 1.0}}
 
 
 def _emit(data, out: str | None):
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -65,7 +66,7 @@ def _algebra_id(spec) -> AlgebraId:
         raise UsageError(f"bad algebra spec: {spec!r}")
     for key in ("alpha", "beta"):
         val = spec.get(key)
-        if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
+        if val is not None and not is_number(val):
             raise UsageError(f"bad algebra spec: {key} must be a number, got {val!r}")
     return default_id(spec["family"], spec.get("alpha"), spec.get("beta"))
 
@@ -81,21 +82,44 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _subspace(alg, alg_id: AlgebraId, spec) -> Subspace:
-    if spec == "known":
-        ks = known_generating_subspace(alg_id)
-        if ks is None:
-            raise NonGeneratingError(f"no known generating subspace for {alg_id}")
-        return Subspace(alg, np.stack(ks.span))
-    try:
-        rows = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad subspace spec: {exc}") from exc
-    return Subspace(alg, rows)
+class _Algebra:
+    """What a job reads of its catalog entry alone: the checked bracket
+    table, and the known subspace with its generation result and canonical
+    basis, each computed on first use.  Every array in it is read-only."""
+
+    def __init__(self, alg_id: AlgebraId):
+        self.id = alg_id
+        self.alg = instantiate(alg_id)
+
+    @functools.cached_property
+    def known(self) -> Subspace | None:
+        ks = known_generating_subspace(self.id)
+        return None if ks is None else Subspace(self.alg, np.stack(ks.span))
+
+    @functools.cached_property
+    def known_generates(self):
+        return generates(self.alg, self.known)
+
+    @functools.cached_property
+    def known_basis(self):
+        return canonical_basis(self.alg, self.known)
+
+
+# one entry per catalog file and AlgebraId, computed once per process; an
+# exception is not cached, so a failing id fails again on the next call.
+# Ids that compare equal (alpha 1 and 1.0, -0.0 and 0.0) build the same table,
+# and a report prints its own job's id
+@functools.lru_cache(maxsize=64)
+def _algebra_cached(path: str | None, alg_id: AlgebraId) -> _Algebra:
+    return _Algebra(alg_id)
+
+
+def _algebra(alg_id: AlgebraId) -> _Algebra:
+    return _algebra_cached(os.environ.get("ABNORM_CATALOG"), alg_id)
 
 
 def _vec(x) -> list:
-    return [float(v) for v in np.asarray(x).ravel()]
+    return np.asarray(x, dtype=float).ravel().tolist()
 
 
 def cmd_catalog(args) -> int:
@@ -105,7 +129,7 @@ def cmd_catalog(args) -> int:
     if args.id is None:
         raise UsageError("catalog show needs a family id")
     alg_id = default_id(args.id, args.alpha, args.beta)
-    alg = instantiate(alg_id)
+    alg = _algebra(alg_id).alg
     ks = known_generating_subspace(alg_id)
     try:
         n_branches = len(automorphism_family(alg_id).branches)
@@ -129,7 +153,8 @@ def cmd_catalog(args) -> int:
 
 
 def _verify_one(alg_id: AlgebraId, rng: np.random.Generator) -> dict:
-    alg = instantiate(alg_id)
+    data = _algebra(alg_id)
+    alg = data.alg
     res = {"id": str(alg_id), "jacobi_defect": jacobi_defect(alg)}
     ok = res["jacobi_defect"] <= JACOBI_TOL
     try:
@@ -140,14 +165,12 @@ def _verify_one(alg_id: AlgebraId, rng: np.random.Generator) -> dict:
         failures = sum(not verify_automorphism(alg, fam.sample(rng)) for _ in range(20))
         res["automorphism_failures"] = failures
         ok = ok and not failures
-    ks = known_generating_subspace(alg_id)
-    if ks is not None:
-        p = Subspace(alg, np.stack(ks.span))
-        gen = generates(alg, p)
+    if data.known is not None:
+        gen = data.known_generates
         res["generates"] = bool(gen)
         res["generation_dims"] = list(gen.dims)
         if gen:
-            res["prop2_defect"] = check_prop2(canonical_basis(alg, p))
+            res["prop2_defect"] = check_prop2(data.known_basis)
             ok = ok and res["prop2_defect"] <= PROP2_TOL
         ok = ok and bool(gen)
     else:
@@ -169,17 +192,27 @@ def cmd_verify(args) -> int:
 
 
 def _job(cfg: dict):
-    """Algebra id, algebra, subspace and generation result of a job config."""
+    """Algebra id, algebra, subspace, generation result and a canonical-basis
+    getter of a job config; the known subspace's come from the per-id cache."""
     alg_id = _algebra_id(cfg.get("algebra"))
-    alg = instantiate(alg_id)
-    p = _subspace(alg, alg_id, cfg.get("subspace", "known"))
-    return alg_id, alg, p, generates(alg, p)
+    data = _algebra(alg_id)
+    spec = cfg.get("subspace", "known")
+    if spec == "known":
+        if data.known is None:
+            raise NonGeneratingError(f"no known generating subspace for {alg_id}")
+        return alg_id, data.alg, data.known, data.known_generates, lambda: data.known_basis
+    try:
+        rows = config_array(spec)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"bad subspace spec: {exc}") from exc
+    p = Subspace(data.alg, rows)
+    return alg_id, data.alg, p, generates(data.alg, p), lambda: canonical_basis(data.alg, p)
 
 
 def _classify_report(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise UsageError(f"job config must be a JSON object, got {cfg!r}")
-    alg_id, alg, p, gen = _job(cfg)
+    alg_id, alg, p, gen, canonical = _job(cfg)
     report: dict = {
         "config": {
             "algebra": {"family": alg_id.family, "alpha": alg_id.alpha, "beta": alg_id.beta},
@@ -197,7 +230,7 @@ def _classify_report(cfg: dict) -> dict:
         report["dim3"] = {"exists": True, "p1": _vec(d3.p1), "verdict": d3.verdict.value}
         return report
     report["config"]["body"] = body_to_config(body)
-    basis = canonical_basis(alg, p)
+    basis = canonical()
     report["canonical"] = {
         "e1": _vec(basis.e1), "e2": _vec(basis.e2),
         "e3": _vec(basis.e3), "e4": _vec(basis.e4),
@@ -243,16 +276,16 @@ def cmd_classify(args) -> int:
 
 def cmd_ode(args) -> int:
     cfg = _load_config(args.config)
-    _, alg, p, gen = _job(cfg)
+    _, _, _, gen, canonical = _job(cfg)
     if not gen:
         raise NonGeneratingError("subspace does not generate")
     body = body_from_config(cfg.get("body", DEFAULT_BODY))
-    basis = canonical_basis(alg, p)
+    basis = canonical()
     opts = cfg.get("options", {})
     s = opts.get("s", 1) if isinstance(opts, dict) else None
     if isinstance(s, bool) or s not in (1, -1):
         raise UsageError("options must be an object whose 's' is 1 or -1")
-    u2 = s / body.gauge((0.0, float(s)))
+    u2 = s / body.axis_gauge(s)
     if args.psi0:
         psi0 = [float(x) for x in args.psi0.split(",")]
         if len(psi0) != 4:
@@ -271,7 +304,7 @@ def cmd_ode(args) -> int:
             "n_steps": len(traj.t) - 1,
             "u2": u2,
         },
-        indent=2, sort_keys=True,
+        indent=2, sort_keys=True, allow_nan=False,
     ))
     return EXIT_OK
 

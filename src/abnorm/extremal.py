@@ -81,7 +81,7 @@ def _require_generating(alg: StructureConstants, p: Subspace) -> None:
 def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> DirectionReport:
     """The criterion: non-strict iff a witness constant k = psi1 exists."""
     c1, c2, c3 = basis.constants
-    u2 = s / body.gauge((0.0, float(s)))
+    u2 = s / body.axis_gauge(s)
     if c1 == 0.0 and c2 == 0.0:
         lo, hi = body.level_interval(s)
         reason, k = Reason.C1C2Zero, min(max(0.0, lo), hi)

@@ -135,7 +135,7 @@ def expm(a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("expm needs a finite matrix")
     s = max(0, int(np.frexp(np.abs(a).sum(axis=0).max())[1]))
-    x = a / 2.0**s
+    x = a * 2.0**-s  # exact, like a / 2.0**s, but 2.0**1024 overflows
     eye = np.eye(len(a))
     out = eye
     for k in range(18, 0, -1):

@@ -8,6 +8,7 @@ asymmetric; nothing here assumes F(u) = F(-u).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,22 @@ class BodyError(ValueError):
     pass
 
 
+def _per_direction(method):
+    """``method(self, s)`` computed once per body and direction s: a body is
+    immutable, and the criterion, the witness oracle and the summary rule of
+    one job all read the same few numbers of the ray s e2."""
+
+    @functools.wraps(method)
+    def once(self, s):
+        memo = self.__dict__.setdefault("_per_direction", {})
+        key = (method.__name__, s)
+        if key not in memo:
+            memo[key] = method(self, s)
+        return memo[key]
+
+    return once
+
+
 class SeminormBody:
     """Convex, bounded, with the origin strictly interior."""
 
@@ -28,6 +45,16 @@ class SeminormBody:
 
     def support(self, w) -> float:
         raise NotImplementedError
+
+    @_per_direction
+    def axis_gauge(self, s: int) -> float:
+        """F(0, s): where the ray s e2 leaves the body."""
+        return self.gauge((0.0, float(s)))
+
+    @_per_direction
+    def axis_support(self, s: int) -> float:
+        """h_U(0, s), the support function on the e2-axis."""
+        return self.support((0.0, float(s)))
 
     def level_interval(self, s: int) -> tuple[float, float]:
         """The interval (lo, hi) of k with F_U(k, s F(0, s)) = 1: the
@@ -68,7 +95,8 @@ class Polygon(SeminormBody):
         offsets = np.einsum("ij,ij->i", normals, v)
         if np.any(offsets <= BODY_RTOL * size):
             raise BodyError("invalid body: origin not strictly interior")
-        v.setflags(write=False)
+        for a in (v, normals, offsets):
+            a.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_offsets", offsets)
@@ -80,6 +108,7 @@ class Polygon(SeminormBody):
     def support(self, w) -> float:
         return float(np.max(self.vertices @ np.asarray(w, dtype=float)))
 
+    @_per_direction
     def level_interval(self, s: int) -> tuple[float, float]:
         # the edges through the exit point; their polar vertices span the
         # subdifferential of F there
@@ -123,14 +152,19 @@ class Ellipse(SeminormBody):
         finite = np.isfinite(c).all() and np.isfinite(s).all()
         if c.shape != (2,) or s.shape != (2, 2) or not finite:
             raise BodyError("ellipse needs a finite 2-vector center and 2x2 shape matrix")
-        if not np.allclose(s, s.T, atol=BODY_RTOL * np.abs(s).max()) or np.any(np.linalg.eigvalsh(s) <= 0):
+        # np.allclose(s, s.T, atol=...) tests only the off-diagonal pair, both
+        # ways round (1e-5 is its default rtol)
+        a, b = float(s[0, 1]), float(s[1, 0])
+        atol = BODY_RTOL * float(np.abs(s).max())
+        if abs(a - b) > atol + 1e-5 * min(abs(a), abs(b)) or np.any(np.linalg.eigvalsh(s) <= 0):
             raise BodyError("shape matrix must be symmetric positive definite")
         q = np.linalg.inv(s)
         if not np.isfinite(q).all():  # a subnormal matrix inverts to inf or nan
             raise BodyError("ellipse shape matrix out of numerical range")
         if float(c @ q @ c) >= 1.0 - BODY_RTOL:
             raise BodyError("invalid body: origin not strictly interior")
-        c.setflags(write=False)
+        for m in (c, s, q):
+            m.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "shape", s)
         object.__setattr__(self, "_q", q)
@@ -150,10 +184,11 @@ class Ellipse(SeminormBody):
         w = np.asarray(w, dtype=float)
         return float(self.center @ w + np.sqrt(w @ self.shape @ w))
 
+    @_per_direction
     def level_interval(self, s: int) -> tuple[float, float]:
         # smooth boundary: the outer normal at the exit point, scaled to
         # pair to 1 with it
-        p = np.array([0.0, s / self.gauge((0.0, float(s)))])
+        p = np.array([0.0, s / self.axis_gauge(s)])
         n = self._q @ (p - self.center)
         k = float(n[0] / (n @ p))
         return k, k
@@ -184,9 +219,8 @@ def axis_condition(b: SeminormBody, s: int) -> bool:
     the direction s*e2 sits on the e2-axis."""
     if s not in (1, -1):
         raise BodyError("direction must be +1 or -1")
-    sup = b.support((0.0, float(s)))
-    g = b.gauge((0.0, float(s)))
-    return is_zero(sup - 1.0 / g, sup)
+    sup = b.axis_support(s)
+    return is_zero(sup - 1.0 / b.axis_gauge(s), sup)
 
 
 def body_from_config(cfg: dict) -> SeminormBody:
@@ -200,8 +234,28 @@ def body_from_config(cfg: dict) -> SeminormBody:
     if kind == "ellipse":
         return Ellipse(_numbers(kind, val, "center"), _numbers(kind, val, "matrix"))
     if kind == "disk":
-        return Disk(_numbers(kind, val, "center", (0.0, 0.0)), _numbers(kind, val, "radius"))
+        return Disk(_numbers(kind, val, "center", [0.0, 0.0]), _numbers(kind, val, "radius"))
     raise BodyError(f"unknown body kind {kind!r}")
+
+
+def is_number(x) -> bool:
+    """The one rule for a config number: a JSON number, not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def config_array(val) -> np.ndarray:
+    """A config number, or lists of them, as a float array.  Raises what
+    ``np.asarray`` raises, and TypeError for a string, boolean, null or
+    object that it would read as a number."""
+    a = np.asarray(val, dtype=float)
+    todo = [val]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif not is_number(x):
+            raise TypeError(f"{x!r} is not a number")
+    return a
 
 
 def _numbers(kind: str, val, key: str | None = None, default=None) -> np.ndarray:
@@ -211,7 +265,7 @@ def _numbers(kind: str, val, key: str | None = None, default=None) -> np.ndarray
             raise BodyError(f"{kind} config needs a {key!r} entry")
         val = val.get(key, default)
     try:
-        return np.asarray(val, dtype=float)
+        return config_array(val)
     except (TypeError, ValueError, OverflowError):
         raise BodyError(f"{kind} config has a non-numeric value {val!r}") from None
 

@@ -153,6 +153,8 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
         c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
         zero[1] = True
 
+    for a in (e1, e2, e3, e4, c23, frame):
+        a.setflags(write=False)
     return CanonicalBasis(
         algebra=alg, e1=e1, e2=e2, e3=e3, e4=e4, c23=c23,
         constants=tuple(0.0 if z else float(c) for c, z in zip(c23, zero)),

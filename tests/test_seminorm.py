@@ -298,3 +298,35 @@ def test_support_positively_homogeneous(w, lam):
     w = np.array(w)
     for body in (SQUARE, SHIFTED):
         assert body.support(lam * w) == pytest.approx(lam * body.support(w), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.3, 0.3), (0.3, 0.3 * (1 + 9e-6)), (0.3, 0.3 * (1 + 2e-5)), (-0.3, 0.3),
+    (0.0, 1e-13), (0.0, 2e-12), (1e-13, -1e-13), (0.5, 0.5 + 5e-6), (0.5, 0.5 + 6e-6),
+])
+def test_ellipse_symmetry_matches_allclose(a, b):
+    # the off-diagonal test accepts exactly what np.allclose(s, s.T) does
+    m = np.array([[1.0, a], [b, 1.0]])
+    want = np.allclose(m, m.T, atol=1e-12 * np.abs(m).max())
+    try:
+        Ellipse((0.0, 0.0), m)
+    except BodyError as exc:
+        assert not want and "symmetric" in str(exc)
+    else:
+        assert want
+
+
+def test_body_numbers_per_direction_are_computed_once(monkeypatch):
+    calls = []
+    for cls, body in ((Polygon, Polygon(QUAD.vertices)), (Ellipse, Disk((0.2, 0.1), 1.0))):
+        for name in ("gauge", "support"):
+            fn = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, v, _f=fn, _n=name: calls.append(_n)
+                                or _f(self, v))
+        for _ in range(3):
+            for s in (1, -1):
+                body.axis_gauge(s), body.axis_support(s), body.level_interval(s)
+                axis_condition(body, s)
+        # F(0, s) and h_U(0, s) once per direction, however often they are read
+        assert (calls.count("gauge"), calls.count("support")) == (2, 2), cls
+        calls.clear()
