@@ -3,7 +3,7 @@ generation, canonical bases and the strict/non-strict classification of
 abnormal extremals, with an independent adjoint-ODE witness oracle.
 """
 
-from .adjoint import closed_form_psi1, integrate, witness_search
+from .adjoint import integrate, witness_search
 from .catalog import (
     AlgebraId,
     automorphism_family,
@@ -42,7 +42,6 @@ __all__ = [
     "classify",
     "classify_dim3",
     "classify_sl2",
-    "closed_form_psi1",
     "default_id",
     "generates",
     "instantiate",

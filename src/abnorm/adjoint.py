@@ -1,7 +1,6 @@
 """Independent PMP oracle for the adjoint system along an abnormal curve:
-fixed-step integration cross-checked against the matrix exponential,
-closed-form solutions of the second-order equation for the first covector
-component, and the search for a bounded normal-witness covector.
+fixed-step integration cross-checked against the matrix exponential, and
+the search for a bounded normal-witness covector.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 from .lie import expm
 from .seminorm import SeminormBody
 from .subspace import CanonicalBasis
-from .tolerances import SUPPORT_TOL, is_zero, norm
+from .tolerances import SUPPORT_TOL
 
 
 def system_matrix(c23, u2: float) -> np.ndarray:
@@ -83,67 +82,12 @@ def integrate(c23, u2: float, psi0, T: float, dt: float) -> Trajectory:
     return Trajectory(t=t, psi=psi, max_deviation=dev)
 
 
-@dataclass(frozen=True)
-class ClosedFormPsi1:
-    case: str  # B_pos | B_zero | B_neg | C1_zero
-    evaluate: object
+def witness_search(basis: CanonicalBasis, body: SeminormBody, s: int) -> float | None:
+    """The constant psi1 = k of a bounded PMP covector with psi2 = 1/u2,
+    u2 = s / F(0, s), and F_U(k, 1/u2) = 1, or None when there is none.
 
-    def __call__(self, t):
-        return self.evaluate(t)
-
-
-def closed_form_psi1(c23, u2: float, a1: float, a2: float) -> ClosedFormPsi1:
-    """General solution of psi1'' - u2 C323 psi1' + u2^2 C123 psi1 + u2 C223 = 0,
-    split by the discriminant B = (C323)^2 - 4 C123 when C123 != 0.  The map
-    (C123, C223, C323, u2) -> (l^2 C123, l C223, l C323, u2 / l) leaves the
-    equation as it is, so C223 and C323 count as zero against the constants'
-    scale d, and C123 and B against d^2."""
-    c1, c2, c3 = float(c23[0]), float(c23[1]), float(c23[2])
-    d = norm([c2, c3, math.sqrt(abs(c1))])
-    b = c3 * c3 - 4.0 * c1
-    if not is_zero(c1, d * d):
-        if not is_zero(c2, d):
-            raise ValueError("closed form expects the C223 = 0 normalization when C123 != 0")
-        if is_zero(b, d * d):
-            rate = 0.5 * c3 * u2
-            fn = lambda t: (a1 * np.asarray(t) + a2) * np.exp(rate * t)
-            case = "B_zero"
-        elif b > 0:
-            lam1 = u2 * (c3 + math.sqrt(b)) / 2.0
-            lam2 = u2 * (c3 - math.sqrt(b)) / 2.0
-            fn = lambda t: a1 * np.exp(lam1 * t) + a2 * np.exp(lam2 * t)
-            case = "B_pos"
-        else:
-            rate = 0.5 * c3 * u2
-            omega = u2 * math.sqrt(-b) / 2.0
-            fn = lambda t: np.exp(rate * t) * (a1 * np.cos(omega * t) + a2 * np.sin(omega * t))
-            case = "B_neg"
-    else:
-        if not is_zero(c3, d):
-            rate = c3 * u2
-            fn = lambda t: a1 * np.exp(rate * t) + (c2 / c3) * np.asarray(t) + a2
-        else:
-            fn = lambda t: -0.5 * c2 * u2 * np.asarray(t) ** 2 + a1 * np.asarray(t) + a2
-        case = "C1_zero"
-    return ClosedFormPsi1(case=case, evaluate=fn)
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Constant part of a bounded normal covector certifying non-strictness."""
-
-    s: int
-    u2: float
-    k: float
-
-
-def witness_search(basis: CanonicalBasis, body: SeminormBody, s: int) -> Witness | None:
-    """Decide existence of a bounded PMP covector with psi2 = 1/u2 and
-    F_U(psi1(t), 1/u2) = 1 for all t.
-
-    Boundedness is decided analytically from the characteristic roots of
-    the closed-form family; the constant branch is checked against the
-    support function.
+    Boundedness is read off the zero pattern of the canonical constants;
+    the constant is checked against the support function.
     """
     if s not in (1, -1):
         raise ValueError("s must be +1 or -1")
@@ -159,7 +103,7 @@ def witness_search(basis: CanonicalBasis, body: SeminormBody, s: int) -> Witness
         k = min(max(0.0, lo), hi)
         if abs(body.support((k, height)) - 1.0) > SUPPORT_TOL:
             return None
-        return Witness(s=s, u2=u2, k=k)
+        return k
 
     if c1 == 0.0:
         # C223 != 0 forces an unbounded drift (linear or parabolic) in
@@ -170,4 +114,4 @@ def witness_search(basis: CanonicalBasis, body: SeminormBody, s: int) -> Witness
     # purely imaginary, oscillations around 0; psi1 = 0 decides
     if abs(body.support((0.0, height)) - 1.0) > SUPPORT_TOL:
         return None
-    return Witness(s=s, u2=u2, k=0.0)
+    return 0.0

@@ -129,8 +129,8 @@ def cmd_catalog(args) -> int:
     if args.id is None:
         raise UsageError("catalog show needs a family id")
     alg_id = default_id(args.id, args.alpha, args.beta)
-    alg = _algebra(alg_id).alg
-    ks = known_generating_subspace(alg_id)
+    data = _algebra(alg_id)
+    alg, known = data.alg, data.known
     try:
         n_branches = len(automorphism_family(alg_id).branches)
     except CatalogError:
@@ -145,7 +145,7 @@ def cmd_catalog(args) -> int:
             ],
             "jacobi_defect": jacobi_defect(alg),
             "automorphism_branches": n_branches,
-            "known_subspace": None if ks is None else [_vec(v) for v in ks.span],
+            "known_subspace": None if known is None else [_vec(v) for v in known.basis],
         },
         args.out,
     )
@@ -248,7 +248,7 @@ def _classify_report(cfg: dict) -> dict:
                 "verdict": d.verdict.value,
                 "reason": d.reason.value,
                 "witness": d.witness,
-                "pmp_max": d.pmp_max,
+                "pmp_max": int(d.witness is not None),
             }
             for s, d in disp.report.directions.items()
         },
@@ -298,14 +298,7 @@ def cmd_ode(args) -> int:
             fh.write("t,psi1,psi2,psi3,psi4\r\n")
             fh.writelines("%.10g,%.12g,%.12g,%.12g,%.12g\r\n" % (t, *row)
                           for t, row in zip(traj.t.tolist(), traj.psi.tolist()))
-    print(json.dumps(
-        {
-            "max_deviation": traj.max_deviation,
-            "n_steps": len(traj.t) - 1,
-            "u2": u2,
-        },
-        indent=2, sort_keys=True, allow_nan=False,
-    ))
+    _emit({"max_deviation": traj.max_deviation, "n_steps": len(traj.t) - 1, "u2": u2}, None)
     return EXIT_OK
 
 

@@ -55,7 +55,6 @@ class DirectionReport:
     verdict: Verdict
     reason: Reason
     witness: dict | None
-    pmp_max: int  # 1 when a normal witness certifies non-strictness, else 0
 
 
 def _both(non_strict) -> Verdict:
@@ -93,9 +92,9 @@ def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> Dire
         reason, k = Reason.AxisConditionFails, None
     velocity = basis.to_catalog_frame((0.0, u2))
     if k is None:
-        return DirectionReport(s, velocity, Verdict.Strict, reason, None, 0)
+        return DirectionReport(s, velocity, Verdict.Strict, reason, None)
     witness = {"psi1": k, "psi2": 1.0 / u2, "psi3": 0.0, "psi4": f"exp({c3 * u2:g} * t)"}
-    return DirectionReport(s, velocity, Verdict.NonStrict, reason, witness, 1)
+    return DirectionReport(s, velocity, Verdict.NonStrict, reason, witness)
 
 
 def classify_basis(basis: CanonicalBasis, body: SeminormBody) -> StrictnessReport:

@@ -1,10 +1,11 @@
-"""Subspace machinery: bracket generation, the canonical basis construction,
-normalizer/centralizer solves and the typing of subspaces of the two
-decomposable algebras with simple 3D part.
+"""Subspace machinery: bracket generation, the canonical basis construction
+and the typing of subspaces of the two decomposable algebras with simple 3D
+part.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -16,6 +17,10 @@ from .tolerances import is_zero, norm, rank, row_and_null_space, span
 
 class SubspaceError(ValueError):
     pass
+
+
+def _out_of_range(what: str) -> SubspaceError:
+    return SubspaceError(f"canonicalization out of numerical range: {what}")
 
 
 def _contains(space_rows, vector) -> bool:
@@ -128,30 +133,42 @@ def canonical_basis(alg: StructureConstants, p: Subspace) -> CanonicalBasis:
                 and not is_zero(n4, cn * n1 * n3) and rank([e1, e2, e3, e4]) == DIM):
             break
     else:
-        raise SubspaceError("canonicalization out of numerical range: no ordering "
-                            "of the spanners gives a rank-4 basis")
+        raise _out_of_range("no ordering of the spanners gives a rank-4 basis")
 
     basis = np.stack([e1, e2, e3, e4], axis=1)
     c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
-    if abs(c23[3]) > 0:
+    # solve returns inf or nan without a warning, and the scalar tests run on
+    # Python floats, which overflow without one; a component that is not
+    # finite ends the job before it reaches a numpy operation that would warn
+    shift = c23.tolist()[3]
+    if not math.isfinite(shift):
+        raise _out_of_range("the components of [e2, e3] are not finite")
+    if shift != 0:
         # e2 <- e2 - C423 e1 removes the e4-component of [e2, e3]
-        shift = c23[3]
         e2 = e2 - shift * e1
         frame = frame @ np.array([[1.0, -shift], [0.0, 1.0]])
         basis = np.stack([e1, e2, e3, e4], axis=1)
         c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
 
-    n2 = norm(e2)  # Ck23 is zero when its component Ck23 e_k of [e2, e3] is
-    zero = [is_zero(c * n, cn * n2 * n3) for c, n in zip(c23, (n1, n2, n3))]
+    # Ck23 is zero when its component Ck23 e_k of [e2, e3] is, against
+    # |c| |e2| |e3|; taken as a ratio, since that product overflows on bases
+    # whose vectors and constants are all in range
+    n2, c = norm(e2), c23.tolist()
+    rel = [ck / n3 * (n / n2) for ck, n in zip(c, (n1, n2, n3))]
+    if not all(map(math.isfinite, rel)):
+        raise _out_of_range("the components of [e2, e3] are not finite")
+    zero = [is_zero(r, cn) for r in rel]
     if not (zero[0] or zero[1]):
         # e1 <- e1 + (C223/C123) e2 zeroes C223 only; e3 is unchanged, e4 moves
-        x = c23[1] / c23[0]
+        x = c[1] / c[0]
         e1 = e1 + x * e2
         frame = frame @ np.array([[1.0, 0.0], [x, 1.0]])
         e4 = bracket(alg, e1, e3)
         basis = np.stack([e1, e2, e3, e4], axis=1)
         c23 = np.linalg.solve(basis, bracket(alg, e2, e3))
         zero[1] = True
+        if not all(map(math.isfinite, (*c23.tolist(), norm(e1), norm(e4)))):
+            raise _out_of_range("the C223 shift is not finite")
 
     for a in (e1, e2, e3, e4, c23, frame):
         a.setflags(write=False)
@@ -167,19 +184,6 @@ def check_prop2(b: CanonicalBasis) -> float:
     c24 = np.linalg.solve(np.stack([b.e1, b.e2, b.e3, b.e4], axis=1),
                           bracket(b.algebra, b.e2, b.e4))
     return float(max(abs(c24[0]), abs(c24[1]), abs(c24[2] - b.c23[1]), abs(c24[3] - b.c23[2])))
-
-
-def normalizer(alg: StructureConstants, p: Subspace) -> np.ndarray:
-    """N(p) = {X : [X, v] in p for all v in p}; orthonormal rows."""
-    q = p.orthonormal
-    comp = row_and_null_space(q)[1]  # complement of p
-    # X -> projection of [X, v] off p, linear in X
-    return row_and_null_space(np.vstack([comp @ np.einsum("ijk,j->ki", alg.c, v) for v in q]))[1]
-
-
-def centralizer(alg: StructureConstants, p: Subspace) -> np.ndarray:
-    """C(p) = {X : [X, v] = 0 for all v in p}; orthonormal rows."""
-    return row_and_null_space(np.vstack([np.einsum("ijk,j->ki", alg.c, v) for v in p.orthonormal]))[1]
 
 
 class SL2SubspaceType(Enum):

@@ -10,17 +10,13 @@ import pytest
 
 import abnorm
 from abnorm import adjoint
-from abnorm.adjoint import (
-    closed_form_psi1,
-    integrate,
-    system_matrix,
-    witness_search,
-)
+from abnorm.adjoint import integrate, system_matrix, witness_search
 from abnorm.catalog import default_id, instantiate, known_generating_subspace
-from abnorm.extremal import Verdict, classify
+from abnorm.extremal import DirectionReport, Verdict, classify
 from abnorm.seminorm import BodyError, Disk, Polygon
 from abnorm.subspace import Subspace, canonical_basis
 from abnorm.tolerances import SUPPORT_TOL
+from reference import closed_form_psi1
 
 QUAD = Polygon([[1, 0], [0, 1], [-2, 0], [0, -1]])
 
@@ -196,14 +192,15 @@ def test_closed_form_rejects_unnormalized_constants():
 
 def test_witness_constant_case_centered_and_shifted():
     b = basis_for("g4.10")  # both leading constants zero
-    w = witness_search(b, Disk((0, 0), 1.0), 1)
-    assert w is not None and abs(w.k) <= 1e-6
+    k = witness_search(b, Disk((0, 0), 1.0), 1)
+    assert k is not None and abs(k) <= 1e-6
     # shifted disk: the witness still exists, with an off-axis constant
-    w = witness_search(b, Disk((0.5, 0.0), 1.0), 1)
-    assert w is not None
-    height = 1.0 / w.u2
-    assert abs(Disk((0.5, 0.0), 1.0).support((w.k, height)) - 1.0) <= 1e-6
-    assert w.k < -1e-3
+    body = Disk((0.5, 0.0), 1.0)
+    k = witness_search(b, body, 1)
+    assert k is not None
+    height = body.axis_gauge(1)  # 1 / u2 with u2 = 1 / F(0, 1)
+    assert abs(body.support((k, height)) - 1.0) <= 1e-6
+    assert k < -1e-3
 
 
 def test_witness_axis_case():
@@ -242,12 +239,11 @@ def oscillation_amplitude(basis, body, s) -> float:
 
 def test_witness_oscillatory_flat_amplitude():
     b = basis_for("g3.7+g1")  # roots purely imaginary
-    w = witness_search(b, QUAD, 1)
-    assert w is not None
+    assert witness_search(b, QUAD, 1) is not None
     assert oscillation_amplitude(b, QUAD, 1) == pytest.approx(0.5, abs=1e-6)
     # the disk has no flat slice: bounded witnesses are constants only
-    w = witness_search(b, Disk((0, 0), 1.0), 1)
-    assert w is not None and oscillation_amplitude(b, Disk((0, 0), 1.0), 1) == 0.0
+    assert witness_search(b, Disk((0, 0), 1.0), 1) is not None
+    assert oscillation_amplitude(b, Disk((0, 0), 1.0), 1) == 0.0
 
 
 def test_witness_agrees_with_criterion_on_random_polygons():
@@ -271,10 +267,11 @@ def test_witness_agrees_with_criterion_on_random_polygons():
             made += 1
             rep = classify(alg, p, body)
             for s in (1, -1):
-                w = witness_search(basis, body, s)
+                k = witness_search(basis, body, s)
                 assert rep.directions[s].verdict is Verdict.NonStrict
-                assert w is not None
-                assert abs(body.support((w.k, 1.0 / w.u2)) - 1.0) <= 1e-12
+                assert k is not None
+                u2 = s / body.axis_gauge(s)
+                assert abs(body.support((k, 1.0 / u2)) - 1.0) <= 1e-12
 
 
 def test_import_leaves_out_scipy():
@@ -283,6 +280,20 @@ def test_import_leaves_out_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert res.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_and_test_references_are_gone():
+    from abnorm import subspace
+
+    for name in abnorm.__all__:
+        assert hasattr(abnorm, name), name
+    # test-side references (tests/reference.py) and fields no output reads
+    for module, name in [(abnorm, "closed_form_psi1"), (adjoint, "closed_form_psi1"),
+                         (adjoint, "ClosedFormPsi1"), (adjoint, "Witness"),
+                         (subspace, "normalizer"), (subspace, "centralizer"),
+                         (abnorm, "normalizer"), (abnorm, "centralizer")]:
+        assert not hasattr(module, name), (module.__name__, name)
+    assert "pmp_max" not in DirectionReport.__dataclass_fields__
 
 
 def test_witness_rejects_bad_direction():

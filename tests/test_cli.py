@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -265,7 +266,22 @@ BAD_JOBS = {
     "string_polygon_vertex": dict(GOOD_JOB, body={
         "polygon": [[1, 1], [-1, 1], [-1, -1], ["1", "-1"]]}),
     "string_subspace_entry": dict(GOOD_JOB, subspace=[["1", 0, 0, 0], [0, 1, 0, 0]]),
+    # the solve for [e2, e3] in the basis gives nan, inf, and an infinite
+    # C423 (whose shift of e2 would warn): a canonical basis out of the float range
+    "canonical_basis_nan": {
+        "algebra": "g4.10",
+        "subspace": [[5e-324, 0.873, 0.019, -0.632], [-0.899, 1e154, -1e300, -1.86]],
+        "body": {"polygon": [[1.152, 1.152], [-1.152, 1.152], [-1.152, -1.152], [1.152, -1.152]]}},
+    "canonical_basis_inf": {
+        "algebra": "g3.6+g1",
+        "subspace": [[-1.958, 1e154, 1e-300, -0.496], [-0.807, -0.431, 1e-160, -0.494]],
+        "body": {"disk": {"radius": 1.308, "center": [0.178, 0.0895]}}},
+    "canonical_basis_inf_c423": {
+        "algebra": "g4.7",
+        "subspace": [[-0.443, 0.303, -0.245, -1e154], [0.414, -0.315, -0.831, -1.357]],
+        "body": {"ellipse": {"center": [0, 0], "matrix": [[2.987, 0.041], [0.041, 1.415]]}}},
 }
+OUT_OF_RANGE_JOBS = ["canonical_basis_nan", "canonical_basis_inf", "canonical_basis_inf_c423"]
 
 
 @pytest.mark.parametrize("name", sorted(BAD_JOBS))
@@ -286,6 +302,29 @@ def test_classify_malformed_config_exits_2(tmp_path, capsys, name):
     cfg.write_text(json.dumps(BAD_JOBS[name]))
     code, _, err = run(capsys, "classify", "--config", str(cfg))
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE_JOBS)
+def test_canonical_basis_out_of_range_is_refused(tmp_path, capsys, name):
+    job = BAD_JOBS[name]
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"jobs": [GOOD_JOB, job, GOOD_JOB]}))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "classify", "--config", str(cfg))
+        assert code == 2 and err.startswith("error: canonicalization out of numerical range")
+        code, _, err = run(capsys, "sweep", "--config", str(sweep), "--out", str(out))
+        assert code == 0 and err == ""
+        results = json.loads(out.read_text())["results"]
+        assert "out of numerical range" in results[1]["error"]
+        assert [r["report"]["classification"]["verdict"] for r in (results[0], results[2])] == [
+            "non-strict", "non-strict"]
+        alg = instantiate(default_id(job["algebra"]))
+        with pytest.raises(subspace.SubspaceError, match="out of numerical range"):
+            classify(alg, Subspace(alg, job["subspace"]), Disk((0, 0), 1.0))
 
 
 @pytest.mark.parametrize("radius", [1e-170, 1e200])
@@ -693,7 +732,7 @@ def test_classify_report_matches_public_functions(family):
         for s, d in crit.directions.items():
             g = got["directions"][str(s)]
             assert (g["verdict"], g["reason"], g["pmp_max"]) == (
-                d.verdict.value, d.reason.value, d.pmp_max)
+                d.verdict.value, d.reason.value, int(d.witness is not None))
             assert (g["witness"] is None) == (d.witness is None)
             for k, v in (d.witness or {}).items():
                 if isinstance(v, str):
@@ -751,12 +790,24 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _main_strict(argv) -> tuple:
+    """Exit code and stderr of main, with every RuntimeWarning an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @_FUZZ
 @given(job=_JOB)
 def test_classify_exit_code_on_random_config(fuzz_dir, job):
     cfg = fuzz_dir / "job.json"
     cfg.write_text(json.dumps(job))
-    assert main(["classify", "--config", str(cfg), "--out", str(fuzz_dir / "out.json")]) in (0, 2, 4)
+    code, err = _main_strict(["classify", "--config", str(cfg), "--out", str(fuzz_dir / "out.json")])
+    assert code in (0, 2, 4)
+    # a report the JSON encoder refuses is a non-finite number that went unchecked
+    assert "Out of range float values" not in err
 
 
 @_FUZZ
@@ -765,7 +816,8 @@ def test_sweep_one_result_per_random_job(fuzz_dir, jobs):
     cfg = fuzz_dir / "sweep.json"
     cfg.write_text(json.dumps({"jobs": jobs}))
     out = fuzz_dir / "sweep_out.json"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    code, err = _main_strict(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert code == 0 and "Out of range float values" not in err
     assert [r["job"] for r in json.loads(out.read_text())["results"]] == list(range(len(jobs)))
 
 

@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from abnorm.catalog import AlgebraId, default_id, instantiate, known_generating_subspace
+from abnorm.extremal import theorem3_dispatch
 from abnorm.lie import inner_automorphism
+from abnorm.seminorm import Disk
 from abnorm.subspace import (
     SL2SubspaceType,
     Subspace,
     SubspaceError,
     canonical_basis,
-    centralizer,
     check_prop2,
     classify_sl2,
     generates,
-    normalizer,
 )
+from reference import centralizer, normalizer
 
 E = np.eye(4)
 
@@ -93,6 +94,20 @@ def test_second_constant_killed_when_first_nonzero():
     assert abs(b.c23[1]) <= 1e-9
     assert np.allclose(b.e1, [0.5, -0.5, 0.0, 0.0])
     assert np.allclose(b.frame_from_spanners, [[1.0, 0.0], [-0.5, 1.0]])
+
+
+def test_canonical_constants_where_the_scale_product_overflows():
+    # |c| |e2| |e3| is about 3.3e308, past the float range, while the basis
+    # and C123 near 3.4e307 are in it: C123 must not count as zero, and the
+    # zero pattern is that of the known g4.7 subspace
+    aid = default_id("g4.7")
+    alg = instantiate(aid)
+    p = Subspace(alg, np.array([[0.3, -1, 2, 0.3], [0, 0.3, 2, 6e153]]))
+    b = canonical_basis(alg, p)
+    want = canonical_basis(*known("g4.7")).constants
+    assert [c == 0.0 for c in b.constants] == [c == 0.0 for c in want] == [False, True, False]
+    assert np.isfinite(np.stack([b.e1, b.e2, b.e3, b.e4])).all()
+    assert theorem3_dispatch(aid, p, Disk((0.1, 0.0), 1.0)).consistent
 
 
 def test_canonical_frame_roundtrip():

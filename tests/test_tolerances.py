@@ -16,15 +16,9 @@ import abnorm
 from abnorm.catalog import AlgebraId, default_id, instantiate, known_generating_subspace
 from abnorm.extremal import classify_basis, classify_dim3, dispatch
 from abnorm.seminorm import Disk, Polygon
-from abnorm.subspace import (
-    Subspace,
-    canonical_basis,
-    centralizer,
-    classify_sl2,
-    generates,
-    normalizer,
-)
+from abnorm.subspace import Subspace, canonical_basis, classify_sl2, generates
 from abnorm.tolerances import rank, span
+from reference import centralizer, normalizer
 
 E = np.eye(4)
 BODIES = {
