@@ -287,7 +287,7 @@ def _load_raw() -> dict:
 def _load_raw_cached(path: str | None) -> dict:
     try:
         if path is None:
-            text = (resources.files("abnorm") / "data" / "catalog.json").read_text()
+            text = (resources.files(__package__) / "data" / "catalog.json").read_text()
         else:
             with open(path) as fh:
                 text = fh.read()

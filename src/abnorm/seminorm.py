@@ -8,7 +8,6 @@ asymmetric; nothing here assumes F(u) = F(-u).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -21,53 +20,32 @@ class BodyError(ValueError):
     pass
 
 
-def _per_direction(method):
-    """``method(self, s)`` computed once per body and direction s: a body is
-    immutable, and the criterion, the witness oracle and the summary rule of
-    one job all read the same few numbers of the ray s e2."""
-
-    @functools.wraps(method)
-    def once(self, s):
-        memo = self.__dict__.setdefault("_per_direction", {})
-        key = (method.__name__, s)
-        if key not in memo:
-            memo[key] = method(self, s)
-        return memo[key]
-
-    return once
-
-
 class SeminormBody:
-    """Convex, bounded, with the origin strictly interior."""
+    """Convex, bounded, with the origin strictly interior.
 
-    def gauge(self, v) -> float:
-        raise NotImplementedError
+    The criterion reads a body only on the rays s e2, s = +1 and -1; each
+    subclass computes those numbers when it is built and stores them in
+    ``_axis[s]`` as (F(0, s), h_U(0, s), level interval)."""
 
-    def support(self, w) -> float:
-        raise NotImplementedError
+    def _axis_numbers(self, s: int) -> tuple:
+        try:
+            return self._axis[s]
+        except KeyError:
+            raise BodyError("direction must be +1 or -1") from None
 
-    @_per_direction
     def axis_gauge(self, s: int) -> float:
         """F(0, s): where the ray s e2 leaves the body."""
-        return self.gauge((0.0, float(s)))
+        return self._axis_numbers(s)[0]
 
-    @_per_direction
     def axis_support(self, s: int) -> float:
         """h_U(0, s), the support function on the e2-axis."""
-        return self.support((0.0, float(s)))
+        return self._axis_numbers(s)[1]
 
     def level_interval(self, s: int) -> tuple[float, float]:
         """The interval (lo, hi) of k with F_U(k, s F(0, s)) = 1: the
         subdifferential of F at the point where the ray s e2 leaves the body
         (Rockafellar, Convex Analysis, section 23)."""
-        raise NotImplementedError
-
-    def scaled(self, lam: float) -> "SeminormBody":
-        raise NotImplementedError
-
-    def transformed(self, m) -> "SeminormBody":
-        """Image of the body under the linear map m (2x2, invertible)."""
-        raise NotImplementedError
+        return self._axis_numbers(s)[2]
 
 
 @dataclass(frozen=True)
@@ -80,7 +58,11 @@ class Polygon(SeminormBody):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2 or not np.isfinite(v).all():
             raise BodyError("polygon needs >= 3 finite planar vertices")
-        size = np.abs(v).max()
+        size = float(np.abs(v).max())
+        # edge cross products reach 8 size^2; a Python float product
+        # overflows to inf without a warning
+        if 8.0 * size * size == math.inf:
+            raise BodyError("polygon out of numerical range")
         edges = np.roll(v, -1, axis=0) - v
         cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
         if np.any(cross < -BODY_RTOL * size * size):
@@ -95,11 +77,24 @@ class Polygon(SeminormBody):
         offsets = np.einsum("ij,ij->i", normals, v)
         if np.any(offsets <= BODY_RTOL * size):
             raise BodyError("invalid body: origin not strictly interior")
+        # F(u) = max <w_i, u> over the polar vertices w_i = n_i / offset_i, so
+        # on the ray s e2 F and h_U are maxima of s times a second coordinate,
+        # exactly gauge((0, s)) and support((0, s)) since multiplying by 0
+        # and +-1 is exact; the w_i of the edges through the exit point span
+        # the level interval
+        polar_verts = (normals / offsets[:, None]).tolist()
+        heights = v[:, 1].tolist()
+        axis = {}
+        for s in (1, -1):
+            f = max(s * y for _, y in polar_verts)
+            xs = [x for x, y in polar_verts if s * y >= f * (1.0 - BODY_RTOL)]
+            axis[s] = (f, max(s * y for y in heights), (min(xs), max(xs)))
         for a in (v, normals, offsets):
             a.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_axis", axis)
 
     def gauge(self, v) -> float:
         v = np.asarray(v, dtype=float)
@@ -107,15 +102,6 @@ class Polygon(SeminormBody):
 
     def support(self, w) -> float:
         return float(np.max(self.vertices @ np.asarray(w, dtype=float)))
-
-    @_per_direction
-    def level_interval(self, s: int) -> tuple[float, float]:
-        # the edges through the exit point; their polar vertices span the
-        # subdifferential of F there
-        vals = self._normals[:, 1] * s / self._offsets
-        active = vals >= np.max(vals) * (1.0 - BODY_RTOL)
-        xs = self._normals[active, 0] / self._offsets[active]
-        return float(np.min(xs)), float(np.max(xs))
 
     def scaled(self, lam: float) -> "Polygon":
         return Polygon(lam * self.vertices)
@@ -161,13 +147,27 @@ class Ellipse(SeminormBody):
         q = np.linalg.inv(s)
         if not np.isfinite(q).all():  # a subnormal matrix inverts to inf or nan
             raise BodyError("ellipse shape matrix out of numerical range")
-        if float(c @ q @ c) >= 1.0 - BODY_RTOL:
+        # c^T Q c in numpy's order on Python floats, which overflow to inf
+        # (or nan) without a warning
+        (c0, c1), ((q00, q01), (q10, q11)) = c.tolist(), q.tolist()
+        cqc = (c0 * q00 + c1 * q10) * c0 + (c0 * q01 + c1 * q11) * c1
+        if not (math.isfinite(cqc) and cqc < 1.0 - BODY_RTOL):
             raise BodyError("invalid body: origin not strictly interior")
         for m in (c, s, q):
             m.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "shape", s)
         object.__setattr__(self, "_q", q)
+        axis = {}
+        for sign in (1, -1):
+            f = self.gauge((0.0, float(sign)))
+            # smooth boundary: the outer normal at the exit point, scaled to
+            # pair to 1 with it
+            p = np.array([0.0, sign / f])
+            n = q @ (p - c)
+            k = float(n[0] / (n @ p))
+            axis[sign] = (f, self.support((0.0, float(sign))), (k, k))
+        object.__setattr__(self, "_axis", axis)
 
     def gauge(self, v) -> float:
         v = np.asarray(v, dtype=float)
@@ -183,15 +183,6 @@ class Ellipse(SeminormBody):
     def support(self, w) -> float:
         w = np.asarray(w, dtype=float)
         return float(self.center @ w + np.sqrt(w @ self.shape @ w))
-
-    @_per_direction
-    def level_interval(self, s: int) -> tuple[float, float]:
-        # smooth boundary: the outer normal at the exit point, scaled to
-        # pair to 1 with it
-        p = np.array([0.0, s / self.axis_gauge(s)])
-        n = self._q @ (p - self.center)
-        k = float(n[0] / (n @ p))
-        return k, k
 
     def scaled(self, lam: float) -> "Ellipse":
         return Ellipse(lam * self.center, lam * lam * self.shape)
@@ -217,8 +208,6 @@ def Disk(center, radius: float) -> Ellipse:
 def axis_condition(b: SeminormBody, s: int) -> bool:
     """True iff F_U(0, s) = 1 / F(0, s), i.e. the extreme point of U in
     the direction s*e2 sits on the e2-axis."""
-    if s not in (1, -1):
-        raise BodyError("direction must be +1 or -1")
     sup = b.axis_support(s)
     return is_zero(sup - 1.0 / b.axis_gauge(s), sup)
 

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -139,7 +141,8 @@ def _set_g47_automorphism_entry(text):
     return lambda fam: fam["automorphisms"][0]["matrix"][0].__setitem__(0, text)
 
 
-#: edits of the shipped catalog's g4.7 entry; None writes "[]" instead
+#: edits of the shipped catalog's g4.7 entry; None writes "[]" instead, and a
+#: string replaces the entry
 CATALOG_EDITS = {
     "not_a_catalog": None,
     "rows_deleted": lambda fam: fam.pop("rows"),
@@ -157,17 +160,30 @@ CATALOG_EDITS = {
     "automorphism_power_of_a_sum": _set_g47_automorphism_entry("(a1+1)**2"),
     "known_subspace_nan": lambda fam: fam["known_subspace"]["span"][0].__setitem__(0, "nan"),
     "row_condition_false": lambda fam: fam["rows"][0].update(condition="False"),
+    "coefficient_a_number": _set_g47_coefficient(1.0),
+    "rows_an_object": lambda fam: fam.update(rows={"0": fam["rows"][0]}),
+    "unknown_parameter": lambda fam: fam.update(params=["gamma"]),
+    "family_entry_a_string": "g4.7",
+    "constraint_text_a_number": lambda fam: fam.update(constraint_text=5),
+    "discrete_parameter_tau": lambda fam: fam["automorphisms"][0].update(discrete={"tau": [1]}),
+    "automorphism_without_matrix": lambda fam: fam["automorphisms"][0].pop("matrix"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_EDITS))
 def test_corrupt_catalog_exits_3(tmp_path, capsys, monkeypatch, name):
     bad = tmp_path / "bad.json"
-    if CATALOG_EDITS[name] is None:
+    edit = CATALOG_EDITS[name]
+    if edit is None:
         bad.write_text("[]")
     else:
         data = json.loads((Path(catalog.__file__).parent / "data" / "catalog.json").read_text())
-        CATALOG_EDITS[name](next(f for f in data["families"] if f["name"] == "g4.7"))
+        families = data["families"]
+        i = next(i for i, f in enumerate(families) if f["name"] == "g4.7")
+        if isinstance(edit, str):
+            families[i] = edit
+        else:
+            edit(families[i])
         bad.write_text(json.dumps(data))
     monkeypatch.setenv("ABNORM_CATALOG", str(bad))
     sweep = tmp_path / "sweep.json"
@@ -280,6 +296,12 @@ BAD_JOBS = {
         "algebra": "g4.7",
         "subspace": [[-0.443, 0.303, -0.245, -1e154], [0.414, -0.315, -0.831, -1.357]],
         "body": {"ellipse": {"center": [0, 0], "matrix": [[2.987, 0.041], [0.041, 1.415]]}}},
+    # body checks whose products would overflow: the square's edge cross
+    # products, the disk's c^T Q c
+    "square_out_of_range": dict(GOOD_JOB, algebra={"family": "g3.5+g1"}, body={
+        "polygon": [[1e200, -1e200], [1e200, 1e200], [-1e200, 1e200], [-1e200, -1e200]]}),
+    "disk_centre_out_of_range": dict(GOOD_JOB, algebra={"family": "g4.7"}, body={
+        "disk": {"center": [1e153, -1e299], "radius": 1}}),
 }
 OUT_OF_RANGE_JOBS = ["canonical_basis_nan", "canonical_basis_inf", "canonical_basis_inf_c423"]
 
@@ -325,6 +347,20 @@ def test_canonical_basis_out_of_range_is_refused(tmp_path, capsys, name):
         alg = instantiate(default_id(job["algebra"]))
         with pytest.raises(subspace.SubspaceError, match="out of numerical range"):
             classify(alg, Subspace(alg, job["subspace"]), Disk((0, 0), 1.0))
+
+
+BODY_OUT_OF_RANGE = {"square_out_of_range": "polygon out of numerical range",
+                     "disk_centre_out_of_range": "invalid body: origin not strictly interior"}
+
+
+@pytest.mark.parametrize("name", sorted(BODY_OUT_OF_RANGE))
+def test_body_out_of_range_is_refused(tmp_path, capsys, name):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(BAD_JOBS[name]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "classify", "--config", str(cfg))
+    assert code == 2 and out == "" and err == f"error: {BODY_OUT_OF_RANGE[name]}\n"
 
 
 @pytest.mark.parametrize("radius", [1e-170, 1e200])
@@ -769,6 +805,24 @@ _SUBSPACE = st.one_of(
     st.lists(st.lists(st.lists(_NUMBER, min_size=1, max_size=1), min_size=4, max_size=4),
              min_size=2, max_size=2),  # one level too deep
 )
+# entries from 5e-324 to 1e300, where the body checks' products over- or underflow
+_TINY_OR_HUGE = st.tuples(
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.sampled_from([5e-324, 1e-300, 1e-160, 1e154, 1e200, 1e300]),
+              st.integers(-323, 300).map(lambda e: 10.0 ** e)),
+).map(lambda t: t[0] * t[1])
+_COORD = st.one_of(st.floats(-3, 3), _TINY_OR_HUGE)
+_PAIR = st.lists(_COORD, min_size=2, max_size=2)
+_SQUARE = [[1, -1], [1, 1], [-1, 1], [-1, -1]]
+_EXTREME_BODY = st.one_of(
+    st.builds(lambda r, c: {"polygon": [[r * x + c[0], r * y + c[1]] for x, y in _SQUARE]},
+              _TINY_OR_HUGE, _PAIR),
+    st.fixed_dictionaries({"polygon": st.lists(_PAIR, min_size=3, max_size=6)}),
+    st.fixed_dictionaries({"disk": st.fixed_dictionaries({"center": _PAIR,
+                                                          "radius": _TINY_OR_HUGE})}),
+    st.builds(lambda c, d, e: {"ellipse": {"center": c, "matrix": [[d[0], e], [e, d[1]]]}},
+              _PAIR, _PAIR, _COORD),
+)
 _BODY = st.one_of(
     _JUNK,
     st.fixed_dictionaries({"disk": st.one_of(_JUNK, st.fixed_dictionaries(
@@ -778,9 +832,15 @@ _BODY = st.one_of(
         {}, optional={"center": _POINT,
                       "matrix": st.one_of(st.lists(_POINT, max_size=3), _JUNK)}))}),
 )
-_JOB = st.one_of(_JUNK, st.fixed_dictionaries(
+# a well-formed job whose numbers may over- or underflow
+_EXTREME_JOB = st.fixed_dictionaries({
+    "algebra": st.sampled_from(["g4.7", "g4.10", "g3.5+g1", "g3.6+g1", "g3.7+g1", "g4.2"]),
+    "subspace": st.one_of(st.just("known"), st.lists(
+        st.lists(_COORD, min_size=4, max_size=4), min_size=2, max_size=2)),
+    "body": _EXTREME_BODY})
+_JOB = st.one_of(_JUNK, _EXTREME_JOB, st.fixed_dictionaries(
     {}, optional={"algebra": _ALGEBRA, "subspace": _SUBSPACE, "body": _BODY}))
-# derandomized so that the suite is repeatable; about 1.5 s for both tests
+# derandomized so that the suite is repeatable; about 2 s for the three tests
 _FUZZ = settings(max_examples=120, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow])
 
@@ -810,6 +870,29 @@ def test_classify_exit_code_on_random_config(fuzz_dir, job):
     assert "Out of range float values" not in err
 
 
+_ODE_JOB = st.one_of(_JOB, st.builds(
+    lambda job, s: dict(job, options={"s": s}), _EXTREME_JOB,
+    st.one_of(st.sampled_from([1, -1, 1.0]), _JUNK)))
+# at most 50 steps, so that no example allocates a long trajectory
+_ODE_ARGS = st.lists(st.one_of(
+    st.sampled_from([["-T", "0.5"], ["-T", "1e-300"], ["-T", "nan"], ["--dt", "0.05"],
+                     ["--dt", "-1"], ["--dt", "inf"]]),
+    st.lists(st.one_of(_COORD, st.sampled_from([math.nan, math.inf])), min_size=4,
+             max_size=4).map(lambda psi0: ["--psi0=" + ",".join(map(repr, psi0))]),
+), max_size=3).map(lambda args: ["-T", "0.1", "--dt", "0.01"] + sum(args, []))
+
+
+@_FUZZ
+@given(job=_ODE_JOB, args=_ODE_ARGS)
+def test_ode_exit_code_on_random_config(fuzz_dir, job, args):
+    cfg = fuzz_dir / "ode.json"
+    cfg.write_text(json.dumps(job))
+    code, err = _main_strict(["ode", "--config", str(cfg), "--out", str(fuzz_dir / "traj.csv"),
+                              *args])
+    assert code in (0, 2, 4)
+    assert "Out of range float values" not in err
+
+
 @_FUZZ
 @given(jobs=st.lists(_JOB, max_size=4))
 def test_sweep_one_result_per_random_job(fuzz_dir, jobs):
@@ -823,19 +906,36 @@ def test_sweep_one_result_per_random_job(fuzz_dir, jobs):
 
 # -- the per-process cache of catalog-derived data ---------------------------
 
-def _g47_variant(tmp_path):
-    """A catalog whose g4.7 has another [E2, E3] coefficient and known span."""
+def _g47_variant(path):
+    """Write to ``path`` a catalog whose g4.7 has another [E2, E3] coefficient
+    (3 for 1) and known span."""
     data = json.loads((Path(catalog.__file__).parent / "data" / "catalog.json").read_text())
     fam = next(f for f in data["families"] if f["name"] == "g4.7")
     fam["rows"][0]["brackets"][3][2]["1"] = "3"
     fam["known_subspace"]["span"][1] = ["0", "0", "1", "2"]
-    path = tmp_path / "variant.json"
     path.write_text(json.dumps(data))
     return str(path)
 
 
+def test_catalog_data_comes_from_its_own_package(tmp_path, monkeypatch):
+    # a copy of the package under another name reads the data file it ships
+    copy = tmp_path / "abnorm_copy"
+    shutil.copytree(Path(abnorm.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    _g47_variant(copy / "data" / "catalog.json")
+    monkeypatch.delenv("ABNORM_CATALOG", raising=False)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        copied = importlib.import_module("abnorm_copy.catalog")
+        assert copied.instantiate(copied.default_id("g4.7")).c[1, 2, 0] == 3.0
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "abnorm_copy"]:
+            del sys.modules[name]
+    assert instantiate(default_id("g4.7")).c[1, 2, 0] == 1.0
+
+
 def test_catalog_switch_gives_each_file_its_own_data(tmp_path, capsys, monkeypatch):
-    variant = _g47_variant(tmp_path)
+    variant = _g47_variant(tmp_path / "variant.json")
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"algebra": "g4.7", "subspace": "known"}))
 

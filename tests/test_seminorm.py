@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,21 @@ def test_non_finite_bodies_rejected(bad):
         Disk((0.0, 0.0), bad)
 
 
+def test_bodies_out_of_numerical_range_are_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # edge cross products of 8e400 and a c^T Q c of 1e598 would overflow
+        with pytest.raises(BodyError, match="polygon out of numerical range"):
+            Polygon(1e200 * SQUARE.vertices)
+        with pytest.raises(BodyError, match="origin not strictly interior"):
+            Disk((1e153, -1e299), 1.0)
+        # edge lengths of 1e-323 underflow to zero
+        with pytest.raises(BodyError, match="degenerate polygon edge"):
+            Polygon(5e-324 * SQUARE.vertices)
+        big = Polygon(1e150 * SQUARE.vertices)
+        assert big.axis_gauge(-1) == pytest.approx(1e-150) and big.axis_support(1) == 1e150
+
+
 def test_level_interval_vertex_exit():
     # the ray e2 leaves QUAD through the vertex (0, 1); its two edges have
     # the polar vertices (1, 1) and (-0.5, 1)
@@ -317,16 +333,33 @@ def test_ellipse_symmetry_matches_allclose(a, b):
 
 
 def test_body_numbers_per_direction_are_computed_once(monkeypatch):
+    # F(0, s), h_U(0, s) and the level interval are computed when the body is
+    # built: reading them calls neither gauge nor support
+    rng = np.random.default_rng(3)
+    bodies = [Polygon(QUAD.vertices), SQUARE.transformed([[1.0, 0.4], [0.0, 1.0]]),
+              Polygon(rng.uniform(-0.5, 0.5, size=2) + SQUARE.vertices),
+              Disk((0.2, 0.1), 1.0), Ellipse((0.1, -0.3), [[2.0, 0.3], [0.3, 0.5]])]
+    want = {(i, s): (b.gauge((0.0, s)), b.support((0.0, s)))
+            for i, b in enumerate(bodies) for s in (1, -1)}
     calls = []
-    for cls, body in ((Polygon, Polygon(QUAD.vertices)), (Ellipse, Disk((0.2, 0.1), 1.0))):
+    for cls in (Polygon, Ellipse):
         for name in ("gauge", "support"):
-            fn = getattr(cls, name)
-            monkeypatch.setattr(cls, name, lambda self, v, _f=fn, _n=name: calls.append(_n)
-                                or _f(self, v))
-        for _ in range(3):
+            monkeypatch.setattr(cls, name, lambda self, v, _n=name: calls.append(_n))
+    for _ in range(3):
+        for i, body in enumerate(bodies):
             for s in (1, -1):
-                body.axis_gauge(s), body.axis_support(s), body.level_interval(s)
+                # exactly the numbers gauge and support give
+                assert (body.axis_gauge(s), body.axis_support(s)) == want[i, s]
+                lo, hi = body.level_interval(s)
+                assert lo <= hi
                 axis_condition(body, s)
-        # F(0, s) and h_U(0, s) once per direction, however often they are read
-        assert (calls.count("gauge"), calls.count("support")) == (2, 2), cls
-        calls.clear()
+    assert calls == []
+
+
+@pytest.mark.parametrize("s", [0, 2, -0.5, math.nan])
+def test_axis_numbers_refuse_other_directions(s):
+    for body in BODIES:
+        for read in (body.axis_gauge, body.axis_support, body.level_interval,
+                     lambda s, b=body: axis_condition(b, s)):
+            with pytest.raises(BodyError, match=r"direction must be \+1 or -1"):
+                read(s)
