@@ -30,7 +30,7 @@ from .catalog import (
 )
 from .lie import jacobi_defect
 from .seminorm import body_from_config, body_to_config, config_array, is_number
-from .subspace import Subspace, canonical_basis, check_prop2, generates
+from .subspace import Subspace, check_prop2
 from .tolerances import JACOBI_TOL, PROP2_TOL
 
 EXIT_OK = 0
@@ -84,8 +84,8 @@ def _load_config(path: str) -> dict:
 
 class _Algebra:
     """What a job reads of its catalog entry alone: the checked bracket
-    table, and the known subspace with its generation result and canonical
-    basis, each computed on first use.  Every array in it is read-only."""
+    table, and the known subspace, which keeps its own generation result
+    and canonical basis.  Every array in it is read-only."""
 
     def __init__(self, alg_id: AlgebraId):
         self.id = alg_id
@@ -95,14 +95,6 @@ class _Algebra:
     def known(self) -> Subspace | None:
         ks = known_generating_subspace(self.id)
         return None if ks is None else Subspace(self.alg, np.stack(ks.span))
-
-    @functools.cached_property
-    def known_generates(self):
-        return generates(self.alg, self.known)
-
-    @functools.cached_property
-    def known_basis(self):
-        return canonical_basis(self.alg, self.known)
 
 
 # one entry per catalog file and AlgebraId, computed once per process; an
@@ -166,11 +158,11 @@ def _verify_one(alg_id: AlgebraId, rng: np.random.Generator) -> dict:
         res["automorphism_failures"] = failures
         ok = ok and not failures
     if data.known is not None:
-        gen = data.known_generates
+        gen = data.known.generation
         res["generates"] = bool(gen)
         res["generation_dims"] = list(gen.dims)
         if gen:
-            res["prop2_defect"] = check_prop2(data.known_basis)
+            res["prop2_defect"] = check_prop2(data.known.canonical)
             ok = ok and res["prop2_defect"] <= PROP2_TOL
         ok = ok and bool(gen)
     else:
@@ -191,28 +183,28 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else 1
 
 
-def _job(cfg: dict):
-    """Algebra id, algebra, subspace, generation result and a canonical-basis
-    getter of a job config; the known subspace's come from the per-id cache."""
+def _job(cfg: dict) -> tuple[AlgebraId, Subspace]:
+    """Algebra id and subspace of a job config; the known subspace comes from
+    the per-id cache with the results it keeps."""
     alg_id = _algebra_id(cfg.get("algebra"))
     data = _algebra(alg_id)
     spec = cfg.get("subspace", "known")
     if spec == "known":
         if data.known is None:
             raise NonGeneratingError(f"no known generating subspace for {alg_id}")
-        return alg_id, data.alg, data.known, data.known_generates, lambda: data.known_basis
+        return alg_id, data.known
     try:
         rows = config_array(spec)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad subspace spec: {exc}") from exc
-    p = Subspace(data.alg, rows)
-    return alg_id, data.alg, p, generates(data.alg, p), lambda: canonical_basis(data.alg, p)
+    return alg_id, Subspace(data.alg, rows)
 
 
 def _classify_report(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise UsageError(f"job config must be a JSON object, got {cfg!r}")
-    alg_id, alg, p, gen, canonical = _job(cfg)
+    alg_id, p = _job(cfg)
+    gen = p.generation
     report: dict = {
         "config": {
             "algebra": {"family": alg_id.family, "alpha": alg_id.alpha, "beta": alg_id.beta},
@@ -225,18 +217,18 @@ def _classify_report(cfg: dict) -> dict:
         raise NonGeneratingError(json.dumps(report, sort_keys=True))
     body = body_from_config(cfg.get("body", DEFAULT_BODY))
     if p.dim == 3:
-        d3 = extremal.dim3_report(alg, p)
+        d3 = extremal.classify_dim3(p.algebra, p)
         # a generating 3D subspace always has its abnormal line p1
         report["dim3"] = {"exists": True, "p1": _vec(d3.p1), "verdict": d3.verdict.value}
         return report
     report["config"]["body"] = body_to_config(body)
-    basis = canonical()
+    basis = p.canonical
     report["canonical"] = {
         "e1": _vec(basis.e1), "e2": _vec(basis.e2),
         "e3": _vec(basis.e3), "e4": _vec(basis.e4),
         "c23": _vec(basis.c23),
     }
-    disp = extremal.dispatch(alg_id, p, body, extremal.classify_basis(basis, body))
+    disp = extremal.theorem3_dispatch(alg_id, p, body)
     report["extremals"] = [
         {"s": d.s, "velocity": _vec(d.velocity),
          "label": "one-parameter subgroup exp(t * velocity)"}
@@ -276,11 +268,11 @@ def cmd_classify(args) -> int:
 
 def cmd_ode(args) -> int:
     cfg = _load_config(args.config)
-    _, _, _, gen, canonical = _job(cfg)
-    if not gen:
+    _, p = _job(cfg)
+    if not p.generation:
         raise NonGeneratingError("subspace does not generate")
     body = body_from_config(cfg.get("body", DEFAULT_BODY))
-    basis = canonical()
+    basis = p.canonical
     opts = cfg.get("options", {})
     s = opts.get("s", 1) if isinstance(opts, dict) else None
     if isinstance(s, bool) or s not in (1, -1):
@@ -311,7 +303,10 @@ def cmd_sweep(args) -> int:
     # serial: the work holds the GIL, so a thread pool only adds overhead
     for i, job in enumerate(jobs):
         try:
-            results.append({"job": i, "report": _classify_report(job)})
+            report = _classify_report(job)
+            # a value the strict encoder refuses fails this job, not the sweep
+            json.dumps(report, allow_nan=False)
+            results.append({"job": i, "report": report})
         except NonGeneratingError:
             results.append({"job": i, "error": "subspace does not generate"})
         except CatalogCorruptError:

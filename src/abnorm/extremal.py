@@ -12,6 +12,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,9 +28,7 @@ from .subspace import (
     Subspace,
     SubspaceError,
     _contains,
-    canonical_basis,
     classify_sl2,
-    generates,
 )
 from .tolerances import is_zero, norm, row_and_null_space
 
@@ -64,7 +63,6 @@ def _both(non_strict) -> Verdict:
 
 @dataclass(frozen=True)
 class StrictnessReport:
-    basis: CanonicalBasis
     directions: dict  # s -> DirectionReport
 
     @property
@@ -72,8 +70,8 @@ class StrictnessReport:
         return _both(d.verdict is Verdict.NonStrict for d in self.directions.values())
 
 
-def _require_generating(alg: StructureConstants, p: Subspace) -> None:
-    if not generates(alg, p):
+def _require_generating(p: Subspace) -> None:
+    if not p.generation:
         raise SubspaceError("subspace does not generate the algebra")
 
 
@@ -81,6 +79,9 @@ def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> Dire
     """The criterion: non-strict iff a witness constant k = psi1 exists."""
     c1, c2, c3 = basis.constants
     u2 = s / body.axis_gauge(s)
+    # u2 e2 is taken on Python floats first: numpy warns where it overflows
+    if math.isinf(abs(u2) * max(map(abs, basis.e2.tolist()))):
+        raise SubspaceError("velocity u2 e2 out of numerical range")
     if c1 == 0.0 and c2 == 0.0:
         lo, hi = body.level_interval(s)
         reason, k = Reason.C1C2Zero, min(max(0.0, lo), hi)
@@ -93,23 +94,17 @@ def _direction_report(basis: CanonicalBasis, body: SeminormBody, s: int) -> Dire
     velocity = basis.to_catalog_frame((0.0, u2))
     if k is None:
         return DirectionReport(s, velocity, Verdict.Strict, reason, None)
-    witness = {"psi1": k, "psi2": 1.0 / u2, "psi3": 0.0, "psi4": f"exp({c3 * u2:g} * t)"}
+    witness = {"psi1": k, "psi2": 1.0 / u2, "psi3": 0.0, "psi4": f"exp({c3 * u2 + 0.0:g} * t)"}
     return DirectionReport(s, velocity, Verdict.NonStrict, reason, witness)
 
 
-def classify_basis(basis: CanonicalBasis, body: SeminormBody) -> StrictnessReport:
-    """Per-direction strictness of the canonical basis of a generating 2D
-    subspace via the canonical-constant criterion."""
-    return StrictnessReport(
-        basis=basis,
-        directions={s: _direction_report(basis, body, s) for s in (1, -1)},
-    )
-
-
 def classify(alg: StructureConstants, p: Subspace, body: SeminormBody) -> StrictnessReport:
-    """Per-direction strictness via the canonical-constant criterion."""
-    _require_generating(alg, p)
-    return classify_basis(canonical_basis(alg, p), body)
+    """Per-direction strictness of a generating 2D subspace p via the
+    canonical-constant criterion.  ``alg`` must be p's algebra; the
+    generation result and canonical basis are p's own, computed once."""
+    _require_generating(p)
+    basis = p.canonical
+    return StrictnessReport({s: _direction_report(basis, body, s) for s in (1, -1)})
 
 
 class Dim3Verdict(Enum):
@@ -124,14 +119,18 @@ class Dim3Report:
     verdict: Dim3Verdict
 
 
-def dim3_report(alg: StructureConstants, p: Subspace) -> Dim3Report:
+def classify_dim3(alg: StructureConstants, p: Subspace) -> Dim3Report:
     """Abnormal extremals of a generating 3D subspace run along the line
     p1 = p ∩ N(p), the kernel of the antisymmetric form psi0([x, y]) on p
     (psi0 annihilates p).  The form is zero only on a subalgebra, so here it
     has rank 2; on orthonormal rows q of p its kernel is (b23, -b13, b12) @ q,
     b_ij = psi0([q_i, q_j]).  p1 has unit length and its first entry that is
-    not zero against RTOL positive.  Strictness from p1 vs [p1, p]."""
-    q = p.orthonormal
+    not zero against RTOL positive.  Strictness from p1 vs [p1, p].
+    ``alg`` must be p's algebra."""
+    if p.dim != 3:
+        raise SubspaceError("3D subspace expected")
+    _require_generating(p)
+    alg, q = p.algebra, p.orthonormal
     psi0 = row_and_null_space(q)[1][0]
     b12, b13, b23 = (psi0 @ bracket(alg, q[i], q[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
     x = np.array([b23, -b13, b12]) @ q
@@ -153,15 +152,7 @@ def dim3_report(alg: StructureConstants, p: Subspace) -> Dim3Report:
     return Dim3Report(p1=x, verdict=verdict)
 
 
-def classify_dim3(alg: StructureConstants, p: Subspace) -> Dim3Report:
-    """``dim3_report`` after checking that p is 3D and generates."""
-    if p.dim != 3:
-        raise SubspaceError("3D subspace expected")
-    _require_generating(alg, p)
-    return dim3_report(alg, p)
-
-
-# summary case of each family; ``dispatch`` makes g4.8 at alpha = 0 case 1.1
+# summary case of each family; ``theorem3_dispatch`` makes g4.8 at alpha = 0 case 1.1
 # and types g3.6+g1 by its sl(2) type.  g3.1+g1 and g3.3+g1 have none ("-")
 _SUMMARY_CASE = {
     "g3.2+g1": "1.3", "g3.4+g1": "1.3", "g3.5+g1": "1.3",
@@ -184,9 +175,8 @@ class DispatchReport:
     report: StrictnessReport
 
 
-def dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody,
-             rep: StrictnessReport) -> DispatchReport:
-    """Summary-case dispatch of the criterion's report ``rep`` on p, with
+def theorem3_dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody) -> DispatchReport:
+    """Summary-case dispatch of the criterion's report on p, cross-checked by
     the witness oracle run on the same canonical basis.
 
     Known tension: for the sl(2,R)+R types IIa/IIb the summary statement
@@ -194,7 +184,8 @@ def dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody,
     when the axis condition holds; such instances are flagged, never
     silently classified.
     """
-    oracle = _both(adjoint.witness_search(rep.basis, body, s) is not None for s in (1, -1))
+    rep = classify(p.algebra, p, body)
+    oracle = _both(adjoint.witness_search(p.canonical, body, s) is not None for s in (1, -1))
 
     fam = alg_id.family
     sl2_type = None
@@ -231,8 +222,3 @@ def dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody,
         sl2_type=sl2_type,
         report=rep,
     )
-
-
-def theorem3_dispatch(alg_id: AlgebraId, p: Subspace, body: SeminormBody) -> DispatchReport:
-    """Summary-case dispatch with criterion and oracle cross-check."""
-    return dispatch(alg_id, p, body, classify(p.algebra, p, body))

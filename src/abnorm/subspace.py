@@ -5,6 +5,7 @@ part.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,6 +32,9 @@ def _contains(space_rows, vector) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
+    """A 2D or 3D subspace of ``algebra``.  Its generation result and canonical
+    basis are computed on first use and kept; read-only arrays keep them valid."""
+
     algebra: StructureConstants
     basis: np.ndarray  # rows
     #: orthonormal rows with the span of ``basis``
@@ -53,6 +57,14 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @functools.cached_property
+    def generation(self) -> GenerationResult:
+        return generates(self.algebra, self)
+
+    @functools.cached_property
+    def canonical(self) -> CanonicalBasis:
+        return canonical_basis(self.algebra, self)
 
 
 @dataclass(frozen=True)

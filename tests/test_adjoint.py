@@ -12,7 +12,7 @@ import abnorm
 from abnorm import adjoint
 from abnorm.adjoint import integrate, system_matrix, witness_search
 from abnorm.catalog import default_id, instantiate, known_generating_subspace
-from abnorm.extremal import DirectionReport, Verdict, classify
+from abnorm.extremal import DirectionReport, StrictnessReport, Verdict, classify
 from abnorm.seminorm import BodyError, Disk, Polygon
 from abnorm.subspace import Subspace, canonical_basis
 from abnorm.tolerances import SUPPORT_TOL
@@ -283,7 +283,7 @@ def test_import_leaves_out_scipy():
 
 
 def test_public_names_resolve_and_test_references_are_gone():
-    from abnorm import subspace
+    from abnorm import extremal, subspace
 
     for name in abnorm.__all__:
         assert hasattr(abnorm, name), name
@@ -291,9 +291,13 @@ def test_public_names_resolve_and_test_references_are_gone():
     for module, name in [(abnorm, "closed_form_psi1"), (adjoint, "closed_form_psi1"),
                          (adjoint, "ClosedFormPsi1"), (adjoint, "Witness"),
                          (subspace, "normalizer"), (subspace, "centralizer"),
-                         (abnorm, "normalizer"), (abnorm, "centralizer")]:
+                         (abnorm, "normalizer"), (abnorm, "centralizer"),
+                         # basis-level twins of classify, theorem3_dispatch, classify_dim3
+                         (extremal, "classify_basis"), (extremal, "dispatch"),
+                         (extremal, "dim3_report")]:
         assert not hasattr(module, name), (module.__name__, name)
     assert "pmp_max" not in DirectionReport.__dataclass_fields__
+    assert "basis" not in StrictnessReport.__dataclass_fields__
 
 
 def test_witness_rejects_bad_direction():

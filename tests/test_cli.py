@@ -21,7 +21,7 @@ from abnorm import catalog, cli, subspace
 from abnorm.adjoint import integrate
 from abnorm.catalog import default_id, instantiate, known_generating_subspace, list_families
 from abnorm.cli import main
-from abnorm.extremal import classify, theorem3_dispatch
+from abnorm.extremal import Dim3Verdict, classify, classify_dim3, theorem3_dispatch
 from abnorm.seminorm import Disk, Polygon, body_to_config
 from abnorm.subspace import Subspace, canonical_basis
 
@@ -302,6 +302,10 @@ BAD_JOBS = {
         "polygon": [[1e200, -1e200], [1e200, 1e200], [-1e200, 1e200], [-1e200, -1e200]]}),
     "disk_centre_out_of_range": dict(GOOD_JOB, algebra={"family": "g4.7"}, body={
         "disk": {"center": [1e153, -1e299], "radius": 1}}),
+    # u2 = 1e150 along e2 = 1e200 E3: the velocity u2 e2 overflows
+    "velocity_out_of_range": {"algebra": {"family": "g4.1"},
+                              "subspace": [[0, 0, 0, 1e-100], [0, 0, 1e200, 0]],
+                              "body": {"disk": {"radius": 1e150}}},
 }
 OUT_OF_RANGE_JOBS = ["canonical_basis_nan", "canonical_basis_inf", "canonical_basis_inf_c423"]
 
@@ -361,6 +365,44 @@ def test_body_out_of_range_is_refused(tmp_path, capsys, name):
         warnings.simplefilter("error")
         code, out, err = run(capsys, "classify", "--config", str(cfg))
     assert code == 2 and out == "" and err == f"error: {BODY_OUT_OF_RANGE[name]}\n"
+
+
+def test_velocity_out_of_range_is_refused(tmp_path, capsys):
+    job = BAD_JOBS["velocity_out_of_range"]
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"jobs": [dict(GOOD_JOB, algebra={"family": "g4.7"}), job,
+                                          GOOD_JOB]}))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "classify", "--config", str(cfg))
+        assert code == 2 and stdout == ""
+        assert err == "error: velocity u2 e2 out of numerical range\n"
+        code, _, err = run(capsys, "sweep", "--config", str(sweep), "--out", str(out))
+    assert code == 0 and err == ""
+    results = json.loads(out.read_text())["results"]
+    assert results[1] == {"job": 1, "error": "velocity u2 e2 out of numerical range"}
+    assert [r["report"]["config"]["algebra"]["family"] for r in (results[0], results[2])] == [
+        "g4.7", "g4.10"]
+
+
+def test_sweep_records_a_report_the_encoder_refuses(tmp_path, capsys, monkeypatch):
+    # a non-finite value in one job's report is that job's error, not the sweep's
+    real = cli._classify_report
+    monkeypatch.setattr(cli, "_classify_report",
+                        lambda job: {"x": math.inf} if job == "inf" else real(job))
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"jobs": [GOOD_JOB, "inf", GOOD_JOB]}))
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 0 and err == ""
+    results = json.loads(out.read_text())["results"]
+    assert results[1]["job"] == 1
+    assert results[1]["error"].startswith("Out of range float values are not JSON compliant")
+    for r in (results[0], results[2]):
+        assert r["report"]["classification"]["verdict"] == "non-strict"
 
 
 @pytest.mark.parametrize("radius", [1e-170, 1e200])
@@ -735,6 +777,34 @@ def test_ode_runs_its_pipeline_once(tmp_path, capsys, monkeypatch):
     assert (counts["instantiate"], counts["generates"], counts["canonical_basis"]) == (0, 0, 0)
 
 
+GATE_BODIES = [Disk((0, 0), 1.0), Disk((0.5, 0.0), 1.0),
+               Polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]]),
+               Polygon([[1, 0], [0, 1], [-2, 0], [0, -1]])]
+
+
+@pytest.mark.parametrize("family", ["g4.7", "g3.6+g1", "g4.10"])
+def test_subspace_keeps_its_generation_and_canonical_basis(monkeypatch, family):
+    # one subspace against many bodies: generates and canonical_basis run once
+    aid = default_id(family)
+    alg = instantiate(aid)
+    p = Subspace(alg, np.stack(known_generating_subspace(aid).span))
+    counts = count_pipeline_calls(monkeypatch)
+    for body in GATE_BODIES:
+        classify(alg, p, body)
+        theorem3_dispatch(aid, p, body)
+    assert (counts["generates"], counts["canonical_basis"]) == (1, 1)
+    assert p.canonical is p.canonical and p.generation is p.generation
+
+
+def test_dim3_subspace_keeps_its_generation(monkeypatch):
+    alg = instantiate(default_id("g4.1"))
+    p = Subspace(alg, np.eye(4)[[0, 2, 3]])
+    counts = count_pipeline_calls(monkeypatch)
+    verdicts = {classify_dim3(alg, p).verdict for _ in GATE_BODIES}
+    assert verdicts == {Dim3Verdict.NonStrictForAllMetrics}
+    assert (counts["generates"], counts["canonical_basis"]) == (1, 0)
+
+
 def _assert_close(got, want):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
 
@@ -963,7 +1033,7 @@ def test_catalog_switch_gives_each_file_its_own_data(tmp_path, capsys, monkeypat
 
 def test_cached_arrays_are_read_only():
     data = cli._algebra(default_id("g4.7"))
-    basis = data.known_basis
+    basis = data.known.canonical
     arrays = [data.alg.c, data.known.basis, data.known.orthonormal, basis.e1, basis.e2,
               basis.e3, basis.e4, basis.c23, basis.frame_from_spanners]
     for a in arrays:

@@ -242,3 +242,18 @@ def test_shifted_disk_witness_is_exact():
     for s in (1, -1):
         assert classify(alg, p, SHIFTED).directions[s].witness["psi1"] == pytest.approx(
             -2.0 / 3.0, abs=1e-14)
+
+
+def test_witness_rates_print_no_negative_zero():
+    # C323 = 0 with s = -1 makes the rate c3 * u2 = -0.0, which printed "exp(-0 * t)"
+    rates = set()
+    for fam in FAMILIES:
+        if known_generating_subspace(default_id(fam)) is None:
+            continue
+        _, alg, p = known(fam)
+        for body in (DISK, SHIFTED, SQUARE, QUAD):
+            for d in classify(alg, p, body).directions.values():
+                if d.witness is not None:
+                    rates.add(d.witness["psi4"])
+    assert "exp(0 * t)" in rates
+    assert not [r for r in rates if "-0 " in r]

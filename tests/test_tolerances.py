@@ -14,9 +14,9 @@ import pytest
 
 import abnorm
 from abnorm.catalog import AlgebraId, default_id, instantiate, known_generating_subspace
-from abnorm.extremal import classify_basis, classify_dim3, dispatch
+from abnorm.extremal import classify_dim3, theorem3_dispatch
 from abnorm.seminorm import Disk, Polygon
-from abnorm.subspace import Subspace, canonical_basis, classify_sl2, generates
+from abnorm.subspace import Subspace, classify_sl2, generates
 from abnorm.tolerances import rank, span
 from reference import centralizer, normalizer
 
@@ -38,12 +38,12 @@ def known(fam, scale=1.0):
     alg = instantiate(aid)
     p = Subspace(alg, scale * np.stack(known_generating_subspace(aid).span))
     assert generates(alg, p)
-    return aid, p, canonical_basis(alg, p)
+    return aid, p
 
 
-def signature(aid, p, basis, body):
-    rep = classify_basis(basis, body)
-    disp = dispatch(aid, p, body, rep)
+def signature(aid, p, body):
+    disp = theorem3_dispatch(aid, p, body)
+    rep = disp.report
     return (rep.combined, tuple(rep.directions[s].reason for s in (1, -1)),
             disp.oracle_verdict, disp.consistent)
 
@@ -59,11 +59,11 @@ def test_verdicts_invariant_under_spanner_scaling(base, body):
 
 @pytest.mark.parametrize("fam", KNOWN)
 def test_verdicts_invariant_under_body_scaling(fam):
-    aid, p, basis = known(fam)
+    aid, p = known(fam)
     for name, body in BODIES.items():
-        want = signature(aid, p, basis, body)
+        want = signature(aid, p, body)
         for k in EXPONENTS:
-            assert signature(aid, p, basis, body.scaled(10.0 ** k)) == want, (k, name)
+            assert signature(aid, p, body.scaled(10.0 ** k)) == want, (k, name)
 
 
 @pytest.mark.parametrize("fam", ["g4.1", "g4.3"])
@@ -98,7 +98,7 @@ def row_scaled(rows, i, k):
 def dispatch_signature(aid, alg, rows, body):
     p = Subspace(alg, rows)
     assert generates(alg, p)
-    disp = dispatch(aid, p, body, classify_basis(canonical_basis(alg, p), body))
+    disp = theorem3_dispatch(aid, p, body)
     return (disp.criterion_verdict, disp.oracle_verdict, disp.consistent, disp.sl2_type,
             disp.flagged_tension)
 
